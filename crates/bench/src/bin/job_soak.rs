@@ -292,7 +292,7 @@ fn orchestrate(quick: bool, seed: u64, max_seconds: Option<u64>, results_dir: &P
     // abandons a fleet — it skips the remaining drills and drives straight to Clean.
     let time_budget = max_seconds.map(|secs| {
         println!("time budget: {secs}s (--max-seconds, mapped onto a cancel deadline scope)");
-        CancelSource::new().child_with_deadline(std::time::Duration::from_secs(secs))
+        CancelSource::with_deadline(std::time::Duration::from_secs(secs))
     });
     let budget_expired =
         |budget: &Option<CancelSource>| budget.as_ref().is_some_and(CancelSource::is_cancelled);

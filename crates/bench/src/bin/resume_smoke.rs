@@ -10,11 +10,12 @@
 //! survives it but the files — and a `resume` phase in a fresh process that loads the
 //! checkpoint, verifies it, and finishes the search. The orchestrator then runs the same
 //! search uninterrupted in-process and compares the full trace-hash chains link by link.
-//! `--max-seconds` additionally puts the first segment on [`ParmisConfig::deadline_ms`]
-//! (the cooperative wall-clock budget): the segment suspends on whichever of the deadline
-//! or the fuel backstop fires first, and the audit is unchanged either way — deadlines
-//! decide *when* a segment suspends, never what it computes. Set `PARMIS_RESULTS_DIR` to
-//! keep the checkpoint, the hash logs and `BENCH_resume_smoke.json` as artifacts.
+//! `--max-seconds` additionally runs the first segment under a
+//! [`CancelSource::with_deadline`] scope (the cooperative wall-clock budget): the segment
+//! suspends on whichever of the deadline or the fuel backstop fires first, and the audit
+//! is unchanged either way — deadlines decide *when* a segment suspends, never what it
+//! computes. Set `PARMIS_RESULTS_DIR` to keep the checkpoint, the hash logs and
+//! `BENCH_resume_smoke.json` as artifacts.
 
 use bench::report;
 use parmis::jobs::atomic_write;
@@ -71,10 +72,14 @@ fn phase_first(quick: bool, checkpoint: &Path, max_seconds: Option<u64>) {
     let config = smoke_config(quick);
     let fueled = ParmisConfig {
         max_fuel: config.max_iterations / 2,
-        deadline_ms: max_seconds.map(|s| s.saturating_mul(1000)),
         ..config
     };
-    let step = Parmis::new(fueled)
+    let mut search = Parmis::new(fueled);
+    if let Some(secs) = max_seconds {
+        let deadline = CancelSource::with_deadline(std::time::Duration::from_secs(secs));
+        search = search.with_cancel_token(deadline.token());
+    }
+    let step = search
         .run_resumable(&evaluator())
         .unwrap_or_else(|e| die(&format!("first segment failed: {e}")));
     let reason = step.stop_reason();
@@ -215,15 +220,11 @@ fn main() {
             "--quick" => quick = true,
             "--max-seconds" => {
                 i += 1;
-                let secs: u64 = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--max-seconds needs a u64"));
-                if secs == 0 {
-                    // ParmisConfig rejects deadline_ms == Some(0) as degenerate.
-                    die("--max-seconds must be positive");
-                }
-                max_seconds = Some(secs);
+                max_seconds = Some(
+                    args.get(i)
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or_else(|| die("--max-seconds needs a u64")),
+                );
             }
             "--phase" => {
                 i += 1;

@@ -4,20 +4,27 @@
 //! module provides that as a hierarchy of cancellation sources:
 //!
 //! ```text
-//! CancelSource (drain root: User | Signal | fleet Deadline)
-//! └── CancelSource (per-wave child: Stall, per-job Deadline)
-//!     └── CancelToken ── Parmis::drive          (checked per iteration round)
-//!         ├── ParallelEvaluator                 (checked between batch slots)
-//!         └── CancelEpochs sink (soc-sim)       (checked every N simulator epochs)
+//! CancelSource (drain root: User | Signal)
+//! └── run scope (fleet Deadline)
+//!     └── job scope (per-job Deadline, one per job per run)
+//!         └── segment scope (Stall)
+//!             └── CancelToken ── Parmis::drive      (checked per iteration round)
+//!                 ├── ParallelEvaluator             (checked between batch slots)
+//!                 └── CancelEpochs sink (soc-sim)   (checked every N simulator epochs)
 //! ```
+//!
+//! Deadline scopes are the one way to bound wall time: a single search gets a budget by
+//! running under `CancelSource::with_deadline(budget).token()`, and the job supervisor
+//! nests the same scopes for its fleet and per-job budgets.
 //!
 //! A [`CancelSource`] is the writer end: it latches the first [`CancelReason`] it is given
 //! and never un-cancels. A [`CancelToken`] is the cheap, cloneable reader end handed to
 //! execution layers; [`CancelToken::cancelled`] also folds in two passive triggers — a
 //! wall-clock deadline ([`CancelSource::with_deadline`]) and process signals
 //! ([`CancelSource::cancel_on_signals`]) — latching them into `Deadline` / `Signal` so the
-//! observed reason is stable. Cancellation of an ancestor surfaces in every descendant as
-//! [`CancelReason::Parent`].
+//! observed reason is stable. Cancellation of an ancestor is latched into every
+//! descendant with the ancestor's own reason, so every layer reports the root cause; an
+//! ancestor's reason wins over a descendant's passive triggers.
 //!
 //! Tokens also carry a heartbeat counter ([`CancelToken::beat`]), bumped by every
 //! execution layer as it makes progress and propagated up the ancestor chain; the job
@@ -50,8 +57,6 @@ pub enum CancelReason {
     Stall,
     /// SIGTERM or SIGINT was delivered to the process.
     Signal,
-    /// An ancestor [`CancelSource`] in the hierarchy was cancelled (for any reason).
-    Parent,
 }
 
 impl CancelReason {
@@ -62,7 +67,6 @@ impl CancelReason {
             CancelReason::Deadline => "deadline",
             CancelReason::Stall => "stall",
             CancelReason::Signal => "signal",
-            CancelReason::Parent => "parent",
         }
     }
 
@@ -72,7 +76,6 @@ impl CancelReason {
             CancelReason::Deadline => 1,
             CancelReason::Stall => 2,
             CancelReason::Signal => 3,
-            CancelReason::Parent => 4,
         }
     }
 
@@ -81,8 +84,7 @@ impl CancelReason {
             0 => CancelReason::User,
             1 => CancelReason::Deadline,
             2 => CancelReason::Stall,
-            3 => CancelReason::Signal,
-            _ => CancelReason::Parent,
+            _ => CancelReason::Signal,
         }
     }
 }
@@ -104,7 +106,7 @@ struct Inner {
     deadline: Option<Instant>,
     /// Passive trigger: latch `Signal` once the registered flag flips.
     signal: OnceLock<Arc<AtomicBool>>,
-    /// Cancellation of any ancestor surfaces here as `Parent`.
+    /// Cancellation of any ancestor is latched here with the ancestor's reason.
     parent: Option<CancelToken>,
 }
 
@@ -132,6 +134,10 @@ impl Inner {
         if code != 0 {
             return Some(CancelReason::from_code(code - 1));
         }
+        // The ancestor is consulted first, so a drain beats this scope's own deadline.
+        if let Some(reason) = self.parent.as_ref().and_then(CancelToken::cancelled) {
+            return Some(self.latch(reason));
+        }
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
                 return Some(self.latch(CancelReason::Deadline));
@@ -140,11 +146,6 @@ impl Inner {
         if let Some(flag) = self.signal.get() {
             if flag.load(Ordering::SeqCst) {
                 return Some(self.latch(CancelReason::Signal));
-            }
-        }
-        if let Some(parent) = &self.parent {
-            if parent.is_cancelled() {
-                return Some(self.latch(CancelReason::Parent));
             }
         }
         None
@@ -173,8 +174,8 @@ impl CancelSource {
         }
     }
 
-    /// A child source: cancelling `self` cancels the child (surfacing as
-    /// [`CancelReason::Parent`]), but cancelling the child leaves `self` untouched.
+    /// A child source: cancelling `self` cancels the child (with `self`'s reason), but
+    /// cancelling the child leaves `self` untouched.
     pub fn child(&self) -> CancelSource {
         CancelSource {
             inner: Inner::fresh(None, Some(self.token())),
@@ -342,10 +343,18 @@ mod tests {
         let grandchild = child.child();
         assert!(!grandchild.is_cancelled());
         root.cancel(CancelReason::Signal);
-        assert_eq!(child.cancelled(), Some(CancelReason::Parent));
-        assert_eq!(grandchild.token().cancelled(), Some(CancelReason::Parent));
+        assert_eq!(child.cancelled(), Some(CancelReason::Signal));
+        assert_eq!(grandchild.token().cancelled(), Some(CancelReason::Signal));
         // The root keeps its own reason.
         assert_eq!(root.cancelled(), Some(CancelReason::Signal));
+    }
+
+    #[test]
+    fn an_ancestor_reason_beats_the_childs_own_deadline() {
+        let root = CancelSource::new();
+        let scope = root.child_with_deadline(Duration::from_millis(0));
+        root.cancel(CancelReason::User);
+        assert_eq!(scope.cancelled(), Some(CancelReason::User));
     }
 
     #[test]
@@ -387,7 +396,6 @@ mod tests {
             (CancelReason::Deadline, "deadline"),
             (CancelReason::Stall, "stall"),
             (CancelReason::Signal, "signal"),
-            (CancelReason::Parent, "parent"),
         ] {
             assert_eq!(reason.name(), name);
             assert_eq!(reason.to_string(), name);

@@ -113,9 +113,8 @@ pub fn hash_chain(history: &[IterationRecord], rng_state: &[u64; 4]) -> Vec<u64>
 
 /// Digest over every trajectory-affecting field of a [`ParmisConfig`].
 ///
-/// Scheduling/segmentation knobs (`num_workers`, `max_fuel`, `checkpoint_every`,
-/// `deadline_ms`, the backend selection) are excluded: they change wall-clock behavior,
-/// never the trajectory.
+/// Scheduling/segmentation knobs (`num_workers`, `max_fuel`, `checkpoint_every`, the
+/// backend selection) are excluded: they change wall-clock behavior, never the trajectory.
 /// The precision tier *is* trajectory-affecting, but is folded in only when it differs
 /// from the default [`Precision::SeedExact`] so digests of pre-precision checkpoints stay
 /// valid.
@@ -564,7 +563,6 @@ mod tests {
             num_workers: 7,
             max_fuel: 3,
             checkpoint_every: 5,
-            deadline_ms: Some(120_000),
             ..base
         };
         assert_eq!(config_digest(&rescheduled), digest);

@@ -262,7 +262,8 @@ pub enum DegradeMode {
 pub struct RetryPolicy {
     /// Retries after the first failed attempt (`0` = single attempt, the default).
     pub max_retries: usize,
-    /// Base of the exponential backoff ledger: attempt `i` charges `base << i` µs.
+    /// Base of the exponential backoff ledger: attempt `i` charges `base << i` µs (shift
+    /// capped at 20, saturating).
     pub backoff_base_micros: u64,
     /// What to do once retries are exhausted.
     pub degrade: DegradeMode,
@@ -300,6 +301,13 @@ impl RetryPolicy {
         self.backoff_base_micros = micros;
         self
     }
+}
+
+/// Adds the backoff charge of zero-based retry `attempt` to the ledger `total`: `base <<
+/// attempt` µs, with the shift capped at 20 and both the charge and the sum saturating at
+/// `u64::MAX`. The one schedule shared by [`RetryPolicy`] and the job supervisor.
+pub(crate) fn add_backoff(total: u64, base_micros: u64, attempt: usize) -> u64 {
+    total.saturating_add(base_micros.saturating_mul(1 << attempt.min(20)))
 }
 
 /// Shared fault-handling ledger of an evaluator (clones of the evaluator share one).
@@ -686,9 +694,12 @@ impl SocEvaluator {
             if attempt < self.retry.max_retries {
                 // Deterministic backoff *accounting*: attempt i charges base << i to the
                 // ledger. Nothing sleeps — retry behavior never depends on wall clock.
-                self.retry_stats
-                    .backoff_micros
-                    .fetch_add(self.retry.backoff_base_micros << attempt, Ordering::SeqCst);
+                let base = self.retry.backoff_base_micros;
+                let _ = self.retry_stats.backoff_micros.fetch_update(
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                    |total| Some(add_backoff(total, base, attempt)),
+                );
                 self.retry_stats.retries.fetch_add(1, Ordering::SeqCst);
                 attempt += 1;
                 continue;
@@ -1244,6 +1255,28 @@ mod tests {
         assert_eq!(stats.retries(), 0);
         assert_eq!(stats.degraded_runs(), 0);
         assert_eq!(stats.backoff_micros(), 0);
+    }
+
+    #[test]
+    fn long_retry_schedules_cap_the_backoff_shift() {
+        use crate::backend::FaultInject;
+        // An always-failing backend under 70 retries: attempts past the 64th must not
+        // overflow the `base << attempt` shift.
+        let eval = SocEvaluator::builder()
+            .benchmark(Benchmark::Qsort)
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .backend(Arc::new(
+                FaultInject::new(Arc::new(AnalyticSim::new())).with_random_errors(7, 1.0),
+            ))
+            .retry_policy(RetryPolicy::retries(70).backoff_base_micros(1))
+            .build()
+            .unwrap();
+        let theta = vec![0.1; eval.parameter_dim()];
+        assert!(eval.evaluate(&theta).is_err());
+        let stats = eval.retry_stats();
+        assert_eq!(stats.retries(), 70);
+        let expected: u64 = (0..70u32).map(|i| 1u64 << i.min(20)).sum();
+        assert_eq!(stats.backoff_micros(), expected);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use soc_sim::scenario::BackendKind;
-use std::time::{Duration, Instant};
 
 /// Configuration of a PaRMIS run.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,15 +83,6 @@ pub struct ParmisConfig {
     /// checkpoints. Like [`max_fuel`](Self::max_fuel), this is a scheduling knob and does
     /// not affect the trajectory or the configuration digest.
     pub checkpoint_every: usize,
-    /// Wall-clock deadline of one run **segment**, in milliseconds: once this much time has
-    /// elapsed, the resumable entry points suspend at the next iteration boundary with
-    /// [`StopReason::Cancelled`]\([`CancelReason::Deadline`]) instead of starting another
-    /// round. `None` (the default) disables the budget; `Some(0)` is rejected by
-    /// validation (it could never pay for a single round — use cancellation for
-    /// "stop now"). Like [`max_fuel`](Self::max_fuel), the deadline only decides *when*
-    /// the segment suspends, never what is computed, so it is excluded from the
-    /// checkpoint's configuration digest and resumed runs stay bit-identical.
-    pub deadline_ms: Option<u64>,
 }
 
 impl Default for ParmisConfig {
@@ -113,7 +103,6 @@ impl Default for ParmisConfig {
             precision: Precision::SeedExact,
             max_fuel: 0,
             checkpoint_every: 0,
-            deadline_ms: None,
         }
     }
 }
@@ -146,8 +135,8 @@ pub enum StopReason {
     /// boundary.
     FuelExhausted,
     /// The segment was cooperatively cancelled at an iteration boundary — by an explicit
-    /// request, a wall-clock deadline, a stall monitor, a process signal, or an ancestor
-    /// scope (see [`CancelReason`]).
+    /// request, a wall-clock deadline, a stall monitor or a process signal, whichever
+    /// scope of the hierarchy raised it (see [`CancelReason`]).
     Cancelled(CancelReason),
 }
 
@@ -295,7 +284,7 @@ pub struct Parmis {
 
 impl Parmis {
     /// Creates a driver with the given configuration (and no cancellation wiring: the
-    /// search only stops on budget, convergence, fuel, or its own deadline).
+    /// search only stops on budget, convergence or fuel).
     pub fn new(config: ParmisConfig) -> Self {
         Parmis {
             config,
@@ -307,7 +296,8 @@ impl Parmis {
     /// iteration boundary and suspends with [`StopReason::Cancelled`] once it trips, and
     /// beats its heartbeat as rounds complete. Evaluators carry their own token wiring
     /// (e.g. [`crate::evaluation::EvaluatorBuilder::cancel_token`]) for the finer-grained
-    /// mid-round checks.
+    /// mid-round checks. A segment wall-time budget is a deadline scope:
+    /// `with_cancel_token(CancelSource::with_deadline(budget).token())`.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -472,13 +462,9 @@ impl Parmis {
         // buffers and batched output column warm up on the first Pareto-front sample and
         // are reused by every later iteration instead of rebuilding solver state.
         let mut acquisition_scratch = AcquisitionScratch::default();
-        // Fuel/cadence accounting is per segment: a resumed run gets a fresh budget, and
-        // the wall-clock deadline (when configured) starts counting now.
+        // Fuel/cadence accounting is per segment: a resumed run gets a fresh budget.
         let mut segment_evaluations = 0usize;
         let mut evals_since_checkpoint = 0usize;
-        let deadline = cfg
-            .deadline_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
 
         let (
             mut rng,
@@ -553,15 +539,13 @@ impl Parmis {
         let rng_words = rng.state();
         let mut iteration = history.len();
         'rounds: while iteration < cfg.max_iterations {
-            // Fuel / cancellation / deadline checks at the round boundary: suspend with a
+            // Fuel / cancellation checks at the round boundary: suspend with a
             // resumable state instead of starting a round that should not (or cannot) be
             // paid for. The checks only gate *whether* the next round starts — the state
             // captured is exactly the round-boundary state an uninterrupted run passes
             // through, so resuming from it is bit-identical.
             let suspend_reason = if let Some(reason) = self.cancel.cancelled() {
                 Some(StopReason::Cancelled(reason))
-            } else if deadline.is_some_and(|d| Instant::now() >= d) {
-                Some(StopReason::Cancelled(CancelReason::Deadline))
             } else if cfg.max_fuel > 0 && segment_evaluations >= cfg.max_fuel {
                 Some(StopReason::FuelExhausted)
             } else {
@@ -812,13 +796,6 @@ impl Parmis {
                 reason: format!(
                     "the parameter bound must be a positive finite number, got {bound}"
                 ),
-            });
-        }
-        if cfg.deadline_ms == Some(0) {
-            return Err(ParmisError::InvalidConfig {
-                reason: "deadline_ms must be positive when set (a zero budget could never \
-                         pay for a round; use a CancelToken to stop a search immediately)"
-                    .into(),
             });
         }
         Ok(())
@@ -1286,16 +1263,22 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_is_rejected_as_invalid_config() {
+    fn zero_deadline_scope_suspends_after_the_initial_design() {
+        use crate::cancel::CancelSource;
+        // A zero budget is not a configuration error: the initial design completes
+        // atomically, then the search suspends resumably at the first round boundary.
         let evaluator = SyntheticEvaluator::new();
-        let bad = ParmisConfig {
-            deadline_ms: Some(0),
-            ..quick_config(10)
-        };
-        assert!(matches!(
-            Parmis::new(bad).run(&evaluator),
-            Err(ParmisError::InvalidConfig { .. })
-        ));
+        let step = Parmis::new(quick_config(10))
+            .with_cancel_token(CancelSource::with_deadline(std::time::Duration::ZERO).token())
+            .run_resumable(&evaluator)
+            .unwrap();
+        match step {
+            SearchStep::Suspended { state, reason } => {
+                assert_eq!(reason, StopReason::Cancelled(CancelReason::Deadline));
+                assert_eq!(state.evaluations(), 6);
+            }
+            SearchStep::Completed(_) => panic!("a zero deadline must suspend"),
+        }
     }
 
     #[test]
@@ -1360,14 +1343,15 @@ mod tests {
 
     #[test]
     fn expired_deadline_suspends_with_a_deadline_reason() {
+        use crate::cancel::CancelSource;
         let evaluator = SyntheticEvaluator::new();
-        let config = ParmisConfig {
-            deadline_ms: Some(1),
-            ..quick_config(40)
-        };
+        let deadline = CancelSource::with_deadline(std::time::Duration::from_millis(1));
         // One millisecond cannot pay for a model-guided round on any machine, so the
         // search suspends at the first boundary after the (atomic) initial design.
-        let step = Parmis::new(config).run_resumable(&evaluator).unwrap();
+        let step = Parmis::new(quick_config(40))
+            .with_cancel_token(deadline.token())
+            .run_resumable(&evaluator)
+            .unwrap();
         match step {
             SearchStep::Suspended { reason, .. } => {
                 assert_eq!(reason, StopReason::Cancelled(CancelReason::Deadline));

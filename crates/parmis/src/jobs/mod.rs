@@ -23,11 +23,12 @@
 //!   deterministically (round-robin in submission order) into waves of at most
 //!   `workers` segments, executed on the workspace's ordered
 //!   [`parallel_map`](crate::parallel::parallel_map) pool, and journaled in slot
-//!   order. A per-segment watchdog (fuel plus wall-clock budget) **suspends and
-//!   reschedules** an over-budget segment at its next checkpoint boundary rather than
-//!   killing it; faulted segments are retried under a bounded restart policy with a
-//!   deterministic backoff ledger (mirroring
-//!   [`RetryPolicy`](crate::evaluation::RetryPolicy)) before the job is marked
+//!   order. Segments are sliced deterministically by fuel; wall time is bounded only by
+//!   [`cancel`](crate::cancel) deadline scopes (a fleet budget per run, a job budget per
+//!   job), which **suspend** an over-budget job at its next checkpoint boundary rather
+//!   than killing it. Faulted segments are retried under a bounded restart policy with
+//!   the deterministic backoff ledger of
+//!   [`RetryPolicy`](crate::evaluation::RetryPolicy) before the job is marked
 //!   `Failed`. On startup, [`JobSupervisor::open`] scans the directory, verifies every
 //!   journal entry and checkpoint digest, and resumes every interrupted job
 //!   bit-identically — the per-iteration trace-hash chain is re-audited before any new

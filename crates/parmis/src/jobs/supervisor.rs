@@ -9,21 +9,22 @@
 //! segmentation never changes a trajectory — the final fronts are bit-identical to
 //! uninterrupted runs for any worker count and any crash/restart history.
 //!
-//! On top of the crash story sits the *graceful* stop story, built on
-//! [`crate::cancel`]: the supervisor owns a drain [`CancelSource`] (tripped by
-//! [`request_drain`](JobSupervisor::request_drain), by `SIGTERM`/`SIGINT` when
-//! [`SupervisorConfig::drain_on_signals`] is set, or by the fleet-wide deadline budget),
-//! every segment runs under a per-job child of it (carrying the per-job deadline), and a
-//! stall monitor watches each child's heartbeat counter to cancel workers that stopped
-//! making progress. All of these suspend jobs at their next checkpoint boundary — never
-//! kill them — so timing decides *when* a fleet pauses, never *what* it computes.
+//! On top of the crash story sits the *graceful* stop story, built on the deadline scopes
+//! of [`crate::cancel`] — the only way wall time is bounded. The supervisor owns a drain
+//! [`CancelSource`] (tripped by [`request_drain`](JobSupervisor::request_drain) or by
+//! `SIGTERM`/`SIGINT` when [`SupervisorConfig::drain_on_signals`] is set). Each
+//! [`run`](JobSupervisor::run) nests a run scope (the fleet deadline) under it, one job
+//! scope per job (the per-job deadline) under that, and one segment scope per segment
+//! under the job scope, whose heartbeat a stall monitor watches to cancel workers that
+//! stopped making progress. All of these suspend jobs at their next checkpoint boundary —
+//! never kill them — so timing decides *when* a fleet pauses, never *what* it computes.
 
 use super::journal::{JobEntry, JobJournal, JobPhase, JOURNAL_FILE};
 use super::store::{validate_job_id, CheckpointStore, CrashPlan};
 use crate::cancel::{CancelReason, CancelSource};
 use crate::checkpoint::{config_digest, fold, fold_f64, fold_str, TRACE_HASH_SEED};
 use crate::error::CheckpointFault;
-use crate::evaluation::PolicyEvaluator;
+use crate::evaluation::{add_backoff, PolicyEvaluator};
 use crate::framework::{Parmis, ParmisConfig, ParmisOutcome, SearchStep, StopReason};
 use crate::parallel::{parallel_map, resolve_workers};
 use crate::{ParmisError, Result};
@@ -68,15 +69,11 @@ pub struct SupervisorConfig {
     /// Cadence checkpoint interval inside a segment, in evaluations; `0` keeps each
     /// job's own [`ParmisConfig::checkpoint_every`].
     pub checkpoint_every: usize,
-    /// Wall-clock watchdog budget per segment, in milliseconds; `0` disables. A segment
-    /// over budget is **suspended at its next checkpoint boundary** — never killed — so
-    /// supervision affects scheduling, not trajectories.
-    pub segment_wall_ms: u64,
     /// Restart attempts after a faulted segment before the job is marked `Failed`.
     pub max_restarts: usize,
     /// Base of the deterministic restart backoff ledger (`base << attempt` µs charged
-    /// per retry, mirroring [`crate::evaluation::RetryPolicy`]; accounting only, never
-    /// slept).
+    /// per retry, shift capped at 20 and saturating, the schedule of
+    /// [`crate::evaluation::RetryPolicy`]; accounting only, never slept).
     pub backoff_base_micros: u64,
     /// Checkpoint generations kept per job (older ones are garbage-collected).
     pub keep_checkpoints: usize,
@@ -110,7 +107,6 @@ impl Default for SupervisorConfig {
             workers: 1,
             segment_fuel: 0,
             checkpoint_every: 0,
-            segment_wall_ms: 0,
             max_restarts: 2,
             backoff_base_micros: 100,
             keep_checkpoints: 3,
@@ -215,29 +211,19 @@ pub fn outcome_digest(outcome: &ParmisOutcome) -> u64 {
     fold_f64(h, outcome.final_phv())
 }
 
-/// Why a segment suspended instead of completing.
-#[derive(Debug, Clone, Copy)]
-enum SuspendCause {
-    /// The segment's fuel budget ran out (the normal segmentation rhythm).
-    Fuel,
-    /// The wall-clock watchdog suspended the segment at a checkpoint boundary.
-    Watchdog,
-    /// Cooperative cancellation (drain, deadline, stall, signal) suspended it.
-    Cancel(CancelReason),
-}
-
 /// What one segment execution produced (worker-side; applied to the journal in slot
 /// order by the supervisor thread).
 enum SegmentResult {
     /// The search ran to completion.
     Completed(Box<ParmisOutcome>),
-    /// Suspended. `saved` is the newest durable checkpoint this segment produced as
-    /// `(seq, evaluations, last_trace_hash)`; `None` means the segment was cancelled
-    /// before its first checkpoint (the job falls back to whatever the journal already
-    /// records — its previous checkpoint, or `Pending` if it never had one).
+    /// Suspended for `reason` ([`StopReason::FuelExhausted`] or
+    /// [`StopReason::Cancelled`]). `saved` is the newest durable checkpoint this segment
+    /// produced as `(seq, evaluations, last_trace_hash)`; `None` means the segment was
+    /// cancelled before its first checkpoint (the job falls back to whatever the journal
+    /// already records — its previous checkpoint, or `Pending` if it never had one).
     Suspended {
         saved: Option<(u64, usize, Option<u64>)>,
-        cause: SuspendCause,
+        reason: StopReason,
     },
     /// The segment faulted; subject to the bounded-restart policy.
     Faulted(ParmisError),
@@ -348,29 +334,6 @@ impl JobSupervisor {
         config: SupervisorConfig,
         crash: Option<CrashPlan>,
     ) -> Result<JobSupervisor> {
-        // Degenerate-budget guard: a fleet budget below one segment's watchdog floor
-        // could never pay for a single suspension cycle — every run would drain before
-        // its first checkpoint and the fleet would make no progress, ever.
-        if config.fleet_deadline_ms > 0 && config.fleet_deadline_ms < config.segment_wall_ms {
-            return Err(ParmisError::InvalidConfig {
-                reason: format!(
-                    "fleet_deadline_ms ({}) is below the segment watchdog floor \
-                     segment_wall_ms ({}); such a fleet budget can never pay for one \
-                     segment's suspension cycle",
-                    config.fleet_deadline_ms, config.segment_wall_ms
-                ),
-            });
-        }
-        if config.job_deadline_ms > 0 && config.job_deadline_ms < config.segment_wall_ms {
-            return Err(ParmisError::InvalidConfig {
-                reason: format!(
-                    "job_deadline_ms ({}) is below the segment watchdog floor \
-                     segment_wall_ms ({}); such a job budget can never pay for one \
-                     segment's suspension cycle",
-                    config.job_deadline_ms, config.segment_wall_ms
-                ),
-            });
-        }
         let mut store = CheckpointStore::open(dir, config.keep_checkpoints)?;
         if let Some(plan) = crash {
             store = store.with_crash_plan(plan);
@@ -631,32 +594,25 @@ impl JobSupervisor {
         let workers = resolve_workers(self.config.workers);
         let mut outcomes: HashMap<String, ParmisOutcome> = HashMap::new();
 
-        // The run-scoped cancellation scope: a child of the drain root carrying this
-        // run's fleet deadline. Every segment runs under a per-job child of it.
-        let run_scope = if self.config.fleet_deadline_ms > 0 {
-            self.drain
-                .child_with_deadline(Duration::from_millis(self.config.fleet_deadline_ms))
-        } else {
-            self.drain.child()
+        // The run scope (a child of the drain root) carries this run's fleet deadline;
+        // each job scope (a child of the run scope, created when the job is first
+        // scheduled) carries that job's deadline budget for the rest of the run.
+        let scope = |parent: &CancelSource, budget_ms: u64| match budget_ms {
+            0 => parent.child(),
+            ms => parent.child_with_deadline(Duration::from_millis(ms)),
         };
-        let job_deadline = (self.config.job_deadline_ms > 0)
-            .then(|| Duration::from_millis(self.config.job_deadline_ms));
-        let mut job_started: HashMap<String, Instant> = HashMap::new();
+        let run_scope = scope(&self.drain, self.config.fleet_deadline_ms);
+        let mut job_scopes: HashMap<String, CancelSource> = HashMap::new();
 
         loop {
             if run_scope.is_cancelled() {
                 break;
             }
-            let mut wave = self.pick_wave(specs, workers);
-            // A job over its per-run deadline budget is parked (left Suspended /
-            // Pending, never killed) instead of being rescheduled this run.
-            if let Some(budget) = job_deadline {
-                wave.retain(|&(idx, _)| {
-                    job_started
-                        .get(&specs[idx].id)
-                        .map_or(true, |started| started.elapsed() < budget)
-                });
-            }
+            // A job whose scope is cancelled (its deadline budget expired) is parked —
+            // left Suspended / Pending, never killed — instead of being rescheduled.
+            let wave = self.pick_wave(specs, workers, |id| {
+                job_scopes.get(id).is_some_and(CancelSource::is_cancelled)
+            });
             if wave.is_empty() {
                 break;
             }
@@ -672,26 +628,23 @@ impl JobSupervisor {
             }
             self.persist_journal()?;
 
-            // Per-slot cancellation scopes: children of the run scope, each carrying
-            // its job's remaining deadline budget. Built on the supervisor thread so
-            // the stall monitor can watch their heartbeats by slot.
-            let slot_scopes: Vec<CancelSource> =
-                wave.iter()
-                    .map(|&(idx, _)| {
-                        let started = *job_started
-                            .entry(specs[idx].id.clone())
-                            .or_insert_with(Instant::now);
-                        match job_deadline {
-                            Some(budget) => run_scope
-                                .child_with_deadline(budget.saturating_sub(started.elapsed())),
-                            None => run_scope.child(),
-                        }
-                    })
-                    .collect();
-            let monitor = StallMonitor::spawn(&slot_scopes, self.config.stall_timeout_ms);
+            // Per-slot segment scopes: a fresh child of each job's scope, so a stall
+            // cancel stops only that segment and the job stays schedulable this run.
+            // Built on the supervisor thread so the stall monitor can watch their
+            // heartbeats by slot.
+            let segment_scopes: Vec<CancelSource> = wave
+                .iter()
+                .map(|&(idx, _)| {
+                    job_scopes
+                        .entry(specs[idx].id.clone())
+                        .or_insert_with(|| scope(&run_scope, self.config.job_deadline_ms))
+                        .child()
+                })
+                .collect();
+            let monitor = StallMonitor::spawn(&segment_scopes, self.config.stall_timeout_ms);
 
             let results = parallel_map(&wave, workers, |slot, &(idx, fresh)| {
-                self.run_segment(&specs[idx], fresh, &slot_scopes[slot], &factory)
+                self.run_segment(&specs[idx], fresh, &segment_scopes[slot], &factory)
             });
             if let Some(monitor) = monitor {
                 monitor.stop();
@@ -699,24 +652,6 @@ impl JobSupervisor {
 
             for (&(idx, _), result) in wave.iter().zip(results) {
                 let id = specs[idx].id.clone();
-                // A segment cancelled through an ancestor scope reports `Parent`;
-                // resolve it to the root cause (drain/signal beats fleet deadline) so
-                // journal notes name what actually stopped the fleet.
-                let result = match result {
-                    SegmentResult::Suspended {
-                        saved,
-                        cause: SuspendCause::Cancel(CancelReason::Parent),
-                    } => SegmentResult::Suspended {
-                        saved,
-                        cause: SuspendCause::Cancel(
-                            self.drain
-                                .cancelled()
-                                .or_else(|| run_scope.cancelled())
-                                .unwrap_or(CancelReason::Parent),
-                        ),
-                    },
-                    other => other,
-                };
                 if let Some(outcome) = self.apply_segment_result(&id, result)? {
                     outcomes.insert(id, outcome);
                 }
@@ -744,9 +679,14 @@ impl JobSupervisor {
         Ok(FleetReport { jobs })
     }
 
-    /// Picks the next wave: up to `workers` runnable jobs, round-robin in spec order
-    /// starting at the cursor left by the previous wave.
-    fn pick_wave(&mut self, specs: &[JobSpec], workers: usize) -> Vec<(usize, bool)> {
+    /// Picks the next wave: up to `workers` runnable jobs that are not `parked`,
+    /// round-robin in spec order starting at the cursor left by the previous wave.
+    fn pick_wave(
+        &mut self,
+        specs: &[JobSpec],
+        workers: usize,
+        parked: impl Fn(&str) -> bool,
+    ) -> Vec<(usize, bool)> {
         let n = specs.len();
         let mut wave = Vec::new();
         if n == 0 {
@@ -757,7 +697,7 @@ impl JobSupervisor {
             let Some(entry) = self.journal.get(&specs[idx].id) else {
                 continue;
             };
-            if entry.phase.is_runnable() {
+            if entry.phase.is_runnable() && !parked(&entry.id) {
                 wave.push((idx, entry.phase == JobPhase::Pending));
                 if wave.len() == workers {
                     self.rr_cursor = (idx + 1) % n;
@@ -790,25 +730,11 @@ impl JobSupervisor {
         if self.config.checkpoint_every > 0 {
             config.checkpoint_every = self.config.checkpoint_every;
         }
-        if self.config.segment_wall_ms > 0 && config.checkpoint_every == 0 {
-            // The watchdog fires at checkpoint boundaries; give it boundaries.
-            config.checkpoint_every = config.batch_size.max(1);
-        }
         let search = Parmis::new(config).with_cancel_token(scope.token());
-        let started = Instant::now();
-        let wall_ms = self.config.segment_wall_ms;
         let mut last_saved: Option<(u64, usize, Option<u64>)> = None;
         let sink = |state: &crate::checkpoint::SearchState| -> Result<()> {
             let seq = self.store.save(&spec.id, state)?;
             last_saved = Some((seq, state.evaluations(), state.last_trace_hash()));
-            if wall_ms > 0 && started.elapsed().as_millis() as u64 >= wall_ms {
-                // Suspend-and-reschedule, never kill: the state just saved is a clean
-                // suspension point; the Watchdog fault only unwinds the segment.
-                return Err(ParmisError::checkpoint(
-                    CheckpointFault::Watchdog,
-                    format!("segment exceeded its {wall_ms} ms wall budget"),
-                ));
-            }
             Ok(())
         };
 
@@ -834,30 +760,19 @@ impl JobSupervisor {
                 match self.store.save(&spec.id, &state) {
                     Ok(seq) => SegmentResult::Suspended {
                         saved: Some((seq, state.evaluations(), state.last_trace_hash())),
-                        cause: match reason {
-                            StopReason::Cancelled(r) => SuspendCause::Cancel(r),
-                            _ => SuspendCause::Fuel,
-                        },
+                        reason,
                     },
                     Err(e) => SegmentResult::Faulted(e),
                 }
             }
-            Err(e) if e.checkpoint_fault() == Some(CheckpointFault::Watchdog) => {
-                let (seq, evaluations, last_trace_hash) =
-                    last_saved.expect("the watchdog only fires after a successful save");
-                SegmentResult::Suspended {
-                    saved: Some((seq, evaluations, last_trace_hash)),
-                    cause: SuspendCause::Watchdog,
-                }
-            }
             // A cancellation raised below the round boundary (inside the evaluator or
-            // the streaming engine) unwinds like the watchdog: the job suspends at the
-            // last durable checkpoint, losing at most one cadence window of work that a
+            // the streaming engine) unwinds the segment: the job suspends at the last
+            // durable checkpoint, losing at most one cadence window of work that a
             // resumed run recomputes bit-identically.
             Err(e) => match e.cancel_reason() {
                 Some(reason) => SegmentResult::Suspended {
                     saved: last_saved,
-                    cause: SuspendCause::Cancel(reason),
+                    reason: StopReason::Cancelled(reason),
                 },
                 None => SegmentResult::Faulted(e),
             },
@@ -883,7 +798,7 @@ impl JobSupervisor {
                 entry.transition(JobPhase::Done)?;
                 Ok(Some(*outcome))
             }
-            SegmentResult::Suspended { saved, cause } => {
+            SegmentResult::Suspended { saved, reason } => {
                 let progressed = match saved {
                     Some((_, evaluations, _)) => evaluations > entry.evaluations,
                     None => false,
@@ -898,20 +813,17 @@ impl JobSupervisor {
                 // like a faulted segment, so a backend that hangs forever converges to
                 // `Failed` instead of being rescheduled indefinitely.
                 let charged_stall =
-                    matches!(cause, SuspendCause::Cancel(CancelReason::Stall)) && !progressed;
+                    reason == StopReason::Cancelled(CancelReason::Stall) && !progressed;
                 if charged_stall {
-                    entry.attempts += 1;
-                    let shift = (entry.attempts - 1).min(20) as u32;
-                    entry.backoff_micros += backoff_base << shift;
+                    charge_restart(entry, backoff_base);
                 } else {
                     entry.attempts = 0;
                 }
-                entry.note = match cause {
-                    SuspendCause::Fuel => None,
-                    SuspendCause::Watchdog => Some("suspended by the segment watchdog".to_string()),
-                    SuspendCause::Cancel(reason) => {
-                        Some(format!("suspended by cancellation [{reason}]"))
+                entry.note = match reason {
+                    StopReason::Cancelled(cancel) => {
+                        Some(format!("suspended by cancellation [{cancel}]"))
                     }
+                    _ => None,
                 };
                 if charged_stall && entry.attempts > max_restarts {
                     entry.transition(JobPhase::Failed)?;
@@ -927,9 +839,7 @@ impl JobSupervisor {
                 Ok(None)
             }
             SegmentResult::Faulted(e) => {
-                entry.attempts += 1;
-                let shift = (entry.attempts - 1).min(20) as u32;
-                entry.backoff_micros += backoff_base << shift;
+                charge_restart(entry, backoff_base);
                 entry.note = Some(e.to_string());
                 if entry.attempts > max_restarts {
                     entry.transition(JobPhase::Failed)?;
@@ -972,15 +882,24 @@ fn charge_checkpoint_loss(
     entry.checkpoint_seq = None;
     entry.evaluations = 0;
     entry.last_trace_hash = None;
-    entry.attempts += 1;
-    let shift = (entry.attempts - 1).min(20) as u32;
-    entry.backoff_micros += config.backoff_base_micros << shift;
+    charge_restart(entry, config.backoff_base_micros);
     entry.note = Some(note.to_string());
     if entry.attempts > config.max_restarts {
         entry.transition(JobPhase::Quarantined)
     } else {
         entry.transition(JobPhase::Pending)
     }
+}
+
+/// Charges one attempt against `entry`'s bounded restart budget and adds its backoff to
+/// the ledger.
+fn charge_restart(entry: &mut JobEntry, backoff_base_micros: u64) {
+    entry.attempts += 1;
+    entry.backoff_micros = add_backoff(
+        entry.backoff_micros,
+        backoff_base_micros,
+        entry.attempts - 1,
+    );
 }
 
 #[cfg(test)]
@@ -1038,43 +957,26 @@ mod tests {
     }
 
     #[test]
-    fn budgets_below_the_segment_watchdog_floor_are_rejected() {
-        let dir = temp_dir("degenerate-budget");
-        let err = JobSupervisor::open(
-            &dir,
-            SupervisorConfig {
-                segment_wall_ms: 5_000,
-                fleet_deadline_ms: 100,
-                ..SupervisorConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, ParmisError::InvalidConfig { .. }), "{err}");
-        assert!(err.to_string().contains("fleet_deadline_ms"), "{err}");
-
-        let err = JobSupervisor::open(
-            &dir,
-            SupervisorConfig {
-                segment_wall_ms: 5_000,
-                job_deadline_ms: 100,
-                ..SupervisorConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, ParmisError::InvalidConfig { .. }), "{err}");
-        assert!(err.to_string().contains("job_deadline_ms"), "{err}");
-
-        // Disabled budgets (0) and budgets at/above the floor are accepted.
-        JobSupervisor::open(
-            &dir,
-            SupervisorConfig {
-                segment_wall_ms: 5_000,
-                fleet_deadline_ms: 5_000,
-                job_deadline_ms: 0,
-                ..SupervisorConfig::default()
-            },
-        )
-        .unwrap();
+    fn a_huge_backoff_base_saturates_the_ledger() {
+        let dir = temp_dir("huge-backoff");
+        let config = SupervisorConfig {
+            max_restarts: 2,
+            backoff_base_micros: u64::MAX,
+            ..SupervisorConfig::default()
+        };
+        let mut supervisor = JobSupervisor::open(&dir, config).unwrap();
+        let specs = vec![JobSpec::new("doomed", tiny_config(1, 8))];
+        let report = supervisor
+            .run(&specs, |_spec| {
+                Err(ParmisError::Evaluation {
+                    reason: "board unreachable".into(),
+                })
+            })
+            .unwrap();
+        let job = report.job("doomed").expect("reported");
+        assert_eq!(job.phase, JobPhase::Failed);
+        assert_eq!(job.attempts, 3);
+        assert_eq!(job.backoff_micros, u64::MAX);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1126,13 +1028,18 @@ mod tests {
             supervisor.submit(spec).unwrap();
         }
         assert_eq!(
-            supervisor.pick_wave(&specs, 3),
+            supervisor.pick_wave(&specs, 3, |_| false),
             vec![(0, true), (1, true), (2, true)]
         );
         // The cursor advanced: the next wave starts where the last one stopped.
         assert_eq!(
-            supervisor.pick_wave(&specs, 3),
+            supervisor.pick_wave(&specs, 3, |_| false),
             vec![(3, true), (0, true), (1, true)]
+        );
+        // A parked job is skipped without starving the runnable jobs behind it.
+        assert_eq!(
+            supervisor.pick_wave(&specs, 1, |id| id == "job-2"),
+            vec![(3, true)]
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -53,7 +53,7 @@
 //! ([`evaluation::DegradeMode`]). [`backend::FaultInject`] drills all of it with seeded
 //! failure schedules. For whole fleets, the [`jobs`] module adds a crash-safe
 //! supervisor: a durable atomic-write checkpoint store with corruption quarantine, a
-//! journaled job table, and watchdog-supervised multi-search scheduling that survives
+//! journaled job table, and fuel-segmented multi-search scheduling that survives
 //! `SIGKILL` at any point with bit-identical final fronts.
 //!
 //! # Cancellation, deadlines & graceful drain
@@ -61,13 +61,14 @@
 //! Every execution layer is **cooperatively cancellable** through the [`cancel`] module's
 //! hierarchical [`cancel::CancelSource`]/[`cancel::CancelToken`] pair: searches wired with
 //! [`framework::Parmis::with_cancel_token`] suspend at the next deterministic boundary
-//! with a reason-carrying [`framework::StopReason`], wall-clock budgets
-//! ([`framework::ParmisConfig::deadline_ms`], the supervisor's per-job and fleet
-//! deadlines) convert expiry into a suspend-at-checkpoint rather than a kill, a
-//! supervisor-side monitor raises `Stall` on workers whose heartbeat stops moving, and
-//! SIGTERM/SIGINT drain the whole fleet gracefully
-//! ([`jobs::JobSupervisor::request_drain`]). Timing only decides *when* a trajectory
-//! suspends — resumed runs stay bit-identical.
+//! with a reason-carrying [`framework::StopReason`]. Deadline scopes are the one way to
+//! bound wall time: a search runs under [`cancel::CancelSource::with_deadline`], and the
+//! supervisor nests the same scopes for its fleet and per-job budgets, so expiry becomes
+//! a suspend-at-checkpoint rather than a kill. A cancelled ancestor's reason is latched
+//! into every descendant, so each layer reports the root cause. A supervisor-side
+//! monitor raises `Stall` on workers whose heartbeat stops moving, and SIGTERM/SIGINT
+//! drain the whole fleet gracefully ([`jobs::JobSupervisor::request_drain`]). Timing
+//! only decides *when* a trajectory suspends — resumed runs stay bit-identical.
 //!
 //! # Quick start
 //!

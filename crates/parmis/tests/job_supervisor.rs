@@ -1,5 +1,5 @@
 //! Supervised-fleet equivalence suite: a [`JobSupervisor`] driving N concurrent
-//! searches as fuel-bounded segments — through crashes, watchdog suspensions, injected
+//! searches as fuel-bounded segments — through crashes, deadline suspensions, injected
 //! backend faults and corrupt checkpoint generations — must finish every job with a
 //! final front **bit-identical** to an uninterrupted [`Parmis::run`] of the same
 //! configuration, for every worker count.
@@ -93,8 +93,8 @@ fn synthetic_factory(_spec: &JobSpec) -> Result<Box<dyn PolicyEvaluator>> {
 }
 
 /// [`SyntheticEvaluator`] with a fixed wall-clock cost per evaluation: sleeping changes
-/// nothing about the trajectory, but guarantees a small `segment_wall_ms` budget is
-/// exceeded by the first checkpoint boundary even in release builds.
+/// nothing about the trajectory, but guarantees a small deadline budget expires with
+/// work left over even in release builds.
 struct SlowEvaluator {
     inner: SyntheticEvaluator,
     per_eval: std::time::Duration,
@@ -245,42 +245,6 @@ fn interrupted_jobs_resume_bit_identically_after_simulated_crash() {
             spec.id
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The per-segment wall-clock watchdog suspends over-budget segments at their next
-/// checkpoint boundary and reschedules them; the job still completes with an
-/// uninterrupted-identical front — supervision affects scheduling, never trajectories.
-#[test]
-fn watchdog_suspension_reschedules_without_changing_the_trajectory() {
-    let spec = JobSpec::new("watched", tiny_config(21, 8));
-    let reference = reference_outcome(&spec.config);
-
-    let dir = temp_dir("watchdog");
-    let config = SupervisorConfig {
-        workers: 1,
-        segment_fuel: 0, // unlimited fuel: only the watchdog can suspend
-        checkpoint_every: 2,
-        segment_wall_ms: 1, // over budget at every checkpoint boundary (evals sleep 2 ms)
-        ..SupervisorConfig::default()
-    };
-    let mut supervisor = JobSupervisor::open(&dir, config).expect("open");
-    let report = supervisor
-        .run(std::slice::from_ref(&spec), |_spec| {
-            Ok(Box::new(SlowEvaluator {
-                inner: SyntheticEvaluator::new(),
-                per_eval: std::time::Duration::from_millis(2),
-            }))
-        })
-        .expect("run");
-    let job = report.job("watched").expect("reported");
-    assert_eq!(job.phase, JobPhase::Done);
-    assert!(
-        job.segments > 1,
-        "a 1 ms budget must force at least one watchdog suspension (got {} segments)",
-        job.segments
-    );
-    assert_eq!(job.outcome_digest, Some(outcome_digest(&reference)));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -569,6 +533,75 @@ fn fleet_deadline_drains_early_and_a_later_run_completes() {
             report.job(&spec.id).expect("reported").outcome_digest,
             Some(outcome_digest(reference)),
             "{}: deadline drain diverged from the uninterrupted run",
+            spec.id
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A per-job deadline parks only the job that exceeds it: the slow job suspends at an
+/// iteration boundary with the deadline recorded as the cause and is not rescheduled this
+/// run, while the fast job runs to completion; a later run without the budget finishes
+/// both bit-identically to their uninterrupted runs.
+#[test]
+fn job_deadline_parks_only_the_over_budget_job() {
+    let dir = temp_dir("job-deadline");
+    let specs = vec![
+        JobSpec::new("slow", tiny_config(71, 10)),
+        JobSpec::new("fast", tiny_config(73, 10)),
+    ];
+    let references: Vec<ParmisOutcome> =
+        specs.iter().map(|s| reference_outcome(&s.config)).collect();
+
+    let factory = |spec: &JobSpec| -> Result<Box<dyn PolicyEvaluator>> {
+        if spec.id == "slow" {
+            Ok(Box::new(SlowEvaluator {
+                inner: SyntheticEvaluator::new(),
+                per_eval: std::time::Duration::from_millis(100),
+            }))
+        } else {
+            synthetic_factory(spec)
+        }
+    };
+    let mut supervisor = JobSupervisor::open(
+        &dir,
+        SupervisorConfig {
+            workers: 2,
+            segment_fuel: 0, // unlimited fuel: only the job deadline can suspend
+            checkpoint_every: 2,
+            // The slow job needs 10 x 100 ms = 1 s at least; the fast one a few ms.
+            job_deadline_ms: 500,
+            ..SupervisorConfig::default()
+        },
+    )
+    .expect("open");
+    let report = supervisor.run(&specs, factory).expect("run");
+    let slow = report.job("slow").expect("reported");
+    assert!(
+        matches!(slow.phase, JobPhase::Suspended | JobPhase::Pending),
+        "slow: got {:?}",
+        slow.phase
+    );
+    let note = slow.note.as_deref().unwrap_or_default();
+    assert!(note.contains("[deadline]"), "slow: note {note:?}");
+    assert_eq!(report.job("fast").expect("reported").phase, JobPhase::Done);
+
+    let mut resumed = JobSupervisor::open(
+        &dir,
+        SupervisorConfig {
+            workers: 2,
+            checkpoint_every: 2,
+            ..SupervisorConfig::default()
+        },
+    )
+    .expect("reopen without deadline");
+    let report = resumed.run(&specs, synthetic_factory).expect("final run");
+    assert!(report.all_done(), "{report:?}");
+    for (spec, reference) in specs.iter().zip(&references) {
+        assert_eq!(
+            report.job(&spec.id).expect("reported").outcome_digest,
+            Some(outcome_digest(reference)),
+            "{}: job deadline diverged from the uninterrupted run",
             spec.id
         );
     }
