@@ -208,7 +208,8 @@ pub fn run_global_parmis(
     budget: &ExperimentBudget,
     seed: u64,
 ) -> (GlobalEvaluator, ParmisOutcome) {
-    let evaluator = GlobalEvaluator::for_benchmarks(benchmarks, objectives.to_vec());
+    let evaluator = GlobalEvaluator::for_benchmarks(benchmarks, objectives.to_vec())
+        .expect("global evaluator needs at least one benchmark");
     let outcome = Parmis::new(budget.parmis_config(seed))
         .run_parallel(&evaluator)
         .expect("global PaRMIS run failed");

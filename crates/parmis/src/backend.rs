@@ -1,4 +1,5 @@
-//! Evaluation backends: the policy→aggregates contract behind [`SocEvaluator`].
+//! Evaluation backends: the policy→aggregates contract behind
+//! [`SocEvaluator`](crate::evaluation::SocEvaluator).
 //!
 //! [`crate::evaluation::SocEvaluator`] owns *what* to evaluate (platform, applications,
 //! objectives, constraints); an [`EvalBackend`] owns *how* a configured policy becomes
@@ -766,12 +767,13 @@ mod tests {
         // On a platform with non-zero DVFS switch energy the measurement-style energy view
         // may legitimately differ, but stays within a few percent of the simulator's.
         let hexa = Platform::hexa_asym();
-        let hexa_eval = SocEvaluator::new(
-            hexa.clone(),
-            evaluator.architecture().clone(),
-            vec![Benchmark::Fft.application()],
-            Objective::TIME_ENERGY.to_vec(),
-        );
+        let hexa_eval = SocEvaluator::builder()
+            .platform(hexa.clone())
+            .architecture(evaluator.architecture().clone())
+            .benchmark(Benchmark::Fft)
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .build()
+            .unwrap();
         let mut hexa_buffers = hexa_eval.sim_buffers();
         hexa_buffers
             .policy_mut()

@@ -9,9 +9,21 @@
 //!     └── job scope (per-job Deadline, one per job per run)
 //!         └── segment scope (Stall)
 //!             └── CancelToken ── Parmis::drive      (checked per iteration round)
-//!                 ├── ParallelEvaluator             (checked between batch slots)
+//!                 ├── ParallelEvaluator             (checked once per worker chunk)
 //!                 └── CancelEpochs sink (soc-sim)   (checked every N simulator epochs)
 //! ```
+//!
+//! Only the round check is automatic: [`Parmis::with_cancel_token`] wires it, and the
+//! supervisor gives each segment's search its scope token. The two evaluator-level checks
+//! exist only when the caller also hands a token to
+//! [`EvaluatorBuilder::cancel_token`] or [`ParallelEvaluator::with_cancel_token`]; the
+//! supervisor's evaluator factory never receives the segment token, and
+//! [`Parmis::run_parallel`] does not forward its own.
+//!
+//! [`Parmis::with_cancel_token`]: crate::framework::Parmis::with_cancel_token
+//! [`Parmis::run_parallel`]: crate::framework::Parmis::run_parallel
+//! [`EvaluatorBuilder::cancel_token`]: crate::evaluation::EvaluatorBuilder::cancel_token
+//! [`ParallelEvaluator::with_cancel_token`]: crate::evaluation::ParallelEvaluator::with_cancel_token
 //!
 //! Deadline scopes are the one way to bound wall time: a single search gets a budget by
 //! running under `CancelSource::with_deadline(budget).token()`, and the job supervisor
@@ -33,7 +45,7 @@
 //!
 //! **Determinism contract:** cancellation decides *when* a search suspends, never *what*
 //! it computes. Every layer checks its token only at a deterministic boundary (iteration
-//! round, batch slot, epoch stride) and aborts by discarding work that a resumed run
+//! round, worker chunk, epoch stride) and aborts by discarding work that a resumed run
 //! recomputes identically — so a cancelled-and-resumed trajectory is bit-identical to an
 //! uninterrupted one.
 

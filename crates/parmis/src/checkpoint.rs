@@ -29,7 +29,7 @@
 //! * `config_digest` — a fold over every **trajectory-affecting** configuration field
 //!   (budgets, sampling/acquisition knobs, kernel family, seed, batch size). Knobs that
 //!   only affect scheduling or segmentation — `num_workers`, `max_fuel`,
-//!   `checkpoint_every`, the backend selection — are excluded, so a run suspended under a
+//!   `checkpoint_every` — are excluded, so a run suspended under a
 //!   small fuel budget can be resumed under a different one.
 //! * `state_digest` — a fold over the state itself (front snapshot, PHV trace, RNG words,
 //!   round structure, chain head), recomputed and compared on load.
@@ -113,8 +113,8 @@ pub fn hash_chain(history: &[IterationRecord], rng_state: &[u64; 4]) -> Vec<u64>
 
 /// Digest over every trajectory-affecting field of a [`ParmisConfig`].
 ///
-/// Scheduling/segmentation knobs (`num_workers`, `max_fuel`, `checkpoint_every`, the
-/// backend selection) are excluded: they change wall-clock behavior, never the trajectory.
+/// Scheduling/segmentation knobs (`num_workers`, `max_fuel`, `checkpoint_every`) are
+/// excluded: they change wall-clock behavior, never the trajectory.
 /// The precision tier *is* trajectory-affecting, but is folded in only when it differs
 /// from the default [`Precision::SeedExact`] so digests of pre-precision checkpoints stay
 /// valid.

@@ -372,7 +372,7 @@ pub struct SocEvaluator {
 }
 
 impl SocEvaluator {
-    /// Starts a fluent [`EvaluatorBuilder`] — the preferred way to assemble an evaluator.
+    /// Starts a fluent [`EvaluatorBuilder`] — the one way to assemble an evaluator.
     ///
     /// ```
     /// use parmis::prelude::*;
@@ -387,15 +387,26 @@ impl SocEvaluator {
     /// # }
     /// ```
     pub fn builder() -> EvaluatorBuilder {
-        EvaluatorBuilder::new()
+        EvaluatorBuilder {
+            platform: None,
+            architecture: PolicyArchitecture::paper_default(),
+            applications: Vec::new(),
+            objectives: Vec::new(),
+            constraints: None,
+            run_seed: DEFAULT_RUN_SEED,
+            backend: None,
+            backend_kind: None,
+            precision: None,
+            retry: RetryPolicy::default(),
+            cancel: CancelToken::never(),
+            deferred: None,
+        }
     }
 
     /// Creates an evaluator for one benchmark on the default Odroid-XU3-like platform with
-    /// the paper's default policy architecture.
-    ///
-    /// Deprecation note: prefer [`SocEvaluator::builder`] with
-    /// [`benchmark`](EvaluatorBuilder::benchmark); this constructor is kept as a thin
-    /// wrapper for source compatibility.
+    /// the paper's default policy architecture: shorthand for
+    /// `builder().benchmark(benchmark).objectives(objectives).build()`, which cannot fail
+    /// because a benchmark always supplies an application.
     pub fn for_benchmark(benchmark: Benchmark, objectives: Vec<Objective>) -> Self {
         SocEvaluator::builder()
             .benchmark(benchmark)
@@ -404,93 +415,9 @@ impl SocEvaluator {
             .expect("a benchmark evaluator always has an application")
     }
 
-    /// Creates an evaluator for a [`Scenario`]: the scenario's platform preset, its
-    /// generated workload, its [`ScenarioConstraints`] applied as an objective penalty
-    /// (see [`with_constraints`](Self::with_constraints)), and its pinned
-    /// [`Scenario::backend`] selection when present.
-    ///
-    /// Deprecation note: prefer [`SocEvaluator::builder`] with
-    /// [`scenario`](EvaluatorBuilder::scenario); this constructor is kept as a thin
-    /// wrapper for source compatibility.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParmisError::Evaluation`] if the scenario's workload fails to build (e.g.
-    /// an unknown benchmark name in a scenario loaded from JSON).
-    pub fn for_scenario(scenario: &Scenario, objectives: Vec<Objective>) -> Result<Self> {
-        SocEvaluator::builder()
-            .scenario(scenario)
-            .objectives(objectives)
-            .build()
-    }
-
-    /// Applies scenario constraints: every objective value gets the constraints'
-    /// weighted relative-violation [`penalty`](ScenarioConstraints::penalty) added, so the
-    /// search is steered towards configurations that satisfy the scenario without changing
-    /// the objective set. A penalty of zero (all limits met) leaves values untouched.
-    pub fn with_constraints(mut self, constraints: ScenarioConstraints) -> Self {
-        self.constraints = Some(constraints);
-        self
-    }
-
-    /// Creates an evaluator from explicit components. `applications` may contain one
-    /// application (application-specific policies) or many (global policies; objectives are
-    /// averaged across applications).
-    pub fn new(
-        platform: Platform,
-        architecture: PolicyArchitecture,
-        applications: Vec<Application>,
-        objectives: Vec<Objective>,
-    ) -> Self {
-        let space = platform.spec().decision_space().clone();
-        SocEvaluator {
-            platform,
-            space,
-            architecture,
-            applications,
-            objectives,
-            constraints: None,
-            run_seed: DEFAULT_RUN_SEED,
-            backend: Arc::new(AnalyticSim::new()),
-            retry: RetryPolicy::default(),
-            retry_stats: Arc::new(RetryStats::default()),
-            cancel: CancelToken::never(),
-        }
-    }
-
-    /// Attaches a cancellation token threaded into every backend run's [`EvalContext`]:
-    /// streaming backends probe it every [`crate::backend::CANCEL_EPOCH_STRIDE`] simulator
-    /// epochs (beating the heartbeat, aborting with [`ParmisError::Cancelled`] when
-    /// tripped). A cancelled run's partial work is discarded and recomputed identically on
-    /// resume — the token never changes what an evaluation produces.
-    #[must_use]
-    pub fn with_cancel_token(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Overrides the measurement-noise seed used for every evaluation run.
-    pub fn with_run_seed(mut self, seed: u64) -> Self {
-        self.run_seed = seed;
-        self
-    }
-
-    /// Swaps the evaluation backend that carries out the policy→aggregates step.
-    pub fn with_backend(mut self, backend: Arc<dyn EvalBackend>) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// The evaluation backend in use.
     pub fn backend(&self) -> &dyn EvalBackend {
         &*self.backend
-    }
-
-    /// Sets the fault-handling policy applied around every backend run (retries with
-    /// deterministic backoff accounting, then fail-fast or skip-with-penalty).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// The fault-handling policy in use.
@@ -728,9 +655,8 @@ enum BackendRun {
     },
 }
 
-/// Fluent assembly of a [`SocEvaluator`], replacing the constructor sprawl
-/// (`for_benchmark` / `for_scenario` / `new` / `with_*` chains) with one composable
-/// surface.
+/// Fluent assembly of a [`SocEvaluator`], started by [`SocEvaluator::builder`]; its
+/// [`build`](Self::build) is the only place an evaluator is assembled.
 ///
 /// Defaults: Odroid-XU3-like platform, the paper's default policy architecture, run seed
 /// 17, the [`AnalyticSim`] backend, no constraints. Sources compose — e.g.
@@ -769,31 +695,7 @@ pub struct EvaluatorBuilder {
     deferred: Option<ParmisError>,
 }
 
-impl Default for EvaluatorBuilder {
-    fn default() -> Self {
-        EvaluatorBuilder::new()
-    }
-}
-
 impl EvaluatorBuilder {
-    /// An empty builder with the documented defaults.
-    pub fn new() -> Self {
-        EvaluatorBuilder {
-            platform: None,
-            architecture: PolicyArchitecture::paper_default(),
-            applications: Vec::new(),
-            objectives: Vec::new(),
-            constraints: None,
-            run_seed: DEFAULT_RUN_SEED,
-            backend: None,
-            backend_kind: None,
-            precision: None,
-            retry: RetryPolicy::default(),
-            cancel: CancelToken::never(),
-            deferred: None,
-        }
-    }
-
     /// Adds one benchmark's application to the evaluation set.
     pub fn benchmark(mut self, benchmark: Benchmark) -> Self {
         self.applications.push(benchmark.application());
@@ -816,8 +718,11 @@ impl EvaluatorBuilder {
 
     /// Configures the builder from a [`Scenario`]: its platform preset, generated
     /// workload, [`ScenarioConstraints`], and — when the scenario pins one — its
-    /// [`Scenario::backend`] selection. A workload build failure is deferred and surfaces
-    /// from [`build`](Self::build).
+    /// [`Scenario::backend`] selection. The constraints enter every objective value as
+    /// their weighted relative-violation [`penalty`](ScenarioConstraints::penalty), so the
+    /// search is steered towards configurations that satisfy the scenario without changing
+    /// the objective set; a penalty of zero (all limits met) leaves values untouched. A
+    /// workload build failure is deferred and surfaces from [`build`](Self::build).
     pub fn scenario(mut self, scenario: &Scenario) -> Self {
         match scenario.application() {
             Ok(application) => {
@@ -858,13 +763,6 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Applies scenario constraints as an additive objective penalty
-    /// ([`SocEvaluator::with_constraints`]).
-    pub fn constraints(mut self, constraints: ScenarioConstraints) -> Self {
-        self.constraints = Some(constraints);
-        self
-    }
-
     /// Overrides the measurement-noise seed used for every run.
     pub fn run_seed(mut self, seed: u64) -> Self {
         self.run_seed = seed;
@@ -896,17 +794,20 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Sets the fault-handling policy applied around every backend run
-    /// ([`SocEvaluator::with_retry_policy`]).
+    /// Sets the fault-handling policy applied around every backend run: retries with
+    /// deterministic backoff accounting, then fail-fast or skip-with-penalty.
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
     }
 
-    /// Attaches a cancellation token to the evaluator
-    /// ([`SocEvaluator::with_cancel_token`]). Share the same [`CancelSource`]'s tokens
-    /// with [`crate::framework::Parmis::with_cancel_token`] so a single cancel request
-    /// stops both the round loop and any in-flight simulator run.
+    /// Attaches a cancellation token threaded into every backend run's [`EvalContext`]:
+    /// streaming backends probe it every [`crate::backend::CANCEL_EPOCH_STRIDE`] simulator
+    /// epochs (beating the heartbeat, aborting with [`ParmisError::Cancelled`] when
+    /// tripped). A cancelled run's partial work is discarded and recomputed identically on
+    /// resume — the token never changes what an evaluation produces. Share the same
+    /// [`CancelSource`]'s tokens with [`crate::framework::Parmis::with_cancel_token`] so a
+    /// single cancel request stops both the round loop and any in-flight simulator run.
     ///
     /// [`CancelSource`]: crate::cancel::CancelSource
     pub fn cancel_token(mut self, cancel: CancelToken) -> Self {
@@ -940,18 +841,19 @@ impl EvaluatorBuilder {
         if let Some(precision) = self.precision {
             platform = platform.with_precision(precision);
         }
-        let mut evaluator = SocEvaluator::new(
+        Ok(SocEvaluator {
+            space: platform.spec().decision_space().clone(),
             platform,
-            self.architecture,
-            self.applications,
-            self.objectives,
-        )
-        .with_run_seed(self.run_seed)
-        .with_backend(backend)
-        .with_retry_policy(self.retry)
-        .with_cancel_token(self.cancel);
-        evaluator.constraints = self.constraints;
-        Ok(evaluator)
+            architecture: self.architecture,
+            applications: self.applications,
+            objectives: self.objectives,
+            constraints: self.constraints,
+            run_seed: self.run_seed,
+            backend,
+            retry: self.retry,
+            retry_stats: Arc::new(RetryStats::default()),
+            cancel: self.cancel,
+        })
     }
 }
 
@@ -1014,9 +916,9 @@ impl PolicyEvaluator for SocEvaluator {
     }
 }
 
-/// Evaluator over the full 12-application suite, producing "global" Pareto-frontier policies
-/// (paper §V-D). This is a thin convenience wrapper over [`SocEvaluator`] with all
-/// applications loaded.
+/// Evaluator over a benchmark suite, producing "global" Pareto-frontier policies (paper
+/// §V-D): a [`SocEvaluator`] built with every suite application loaded, so objectives are
+/// averaged across them.
 #[derive(Debug, Clone)]
 pub struct GlobalEvaluator {
     inner: SocEvaluator,
@@ -1025,40 +927,21 @@ pub struct GlobalEvaluator {
 impl GlobalEvaluator {
     /// Creates a global evaluator over all 12 benchmarks.
     pub fn all_benchmarks(objectives: Vec<Objective>) -> Self {
-        GlobalEvaluator {
-            inner: SocEvaluator::new(
-                Platform::odroid_xu3(),
-                PolicyArchitecture::paper_default(),
-                Benchmark::all_applications(),
-                objectives,
-            ),
-        }
+        GlobalEvaluator::for_benchmarks(&Benchmark::ALL, objectives)
+            .expect("the benchmark suite is never empty")
     }
 
     /// Creates a global evaluator over an explicit benchmark subset.
-    pub fn for_benchmarks(benchmarks: &[Benchmark], objectives: Vec<Objective>) -> Self {
-        GlobalEvaluator {
-            inner: SocEvaluator::new(
-                Platform::odroid_xu3(),
-                PolicyArchitecture::paper_default(),
-                benchmarks.iter().map(|b| b.application()).collect(),
-                objectives,
-            ),
-        }
-    }
-
-    /// Swaps the evaluation backend of the wrapped evaluator; per-benchmark scoring via
-    /// [`evaluate_on`](Self::evaluate_on) uses the same backend.
-    pub fn with_backend(mut self, backend: Arc<dyn EvalBackend>) -> Self {
-        self.inner = self.inner.with_backend(backend);
-        self
-    }
-
-    /// Sets the fault-handling policy of the wrapped evaluator
-    /// ([`SocEvaluator::with_retry_policy`]); per-benchmark scoring uses the same policy.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.inner = self.inner.with_retry_policy(retry);
-        self
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParmisError::InvalidConfig`] for an empty subset.
+    pub fn for_benchmarks(benchmarks: &[Benchmark], objectives: Vec<Objective>) -> Result<Self> {
+        let inner = SocEvaluator::builder()
+            .benchmarks(benchmarks)
+            .objectives(objectives)
+            .build()?;
+        Ok(GlobalEvaluator { inner })
     }
 
     /// Access to the wrapped [`SocEvaluator`] (e.g. to materialize policies).
@@ -1068,20 +951,15 @@ impl GlobalEvaluator {
 
     /// Evaluates θ on a *single* benchmark, which is how the paper scores a global policy on
     /// each application when comparing against application-specific policies (Fig. 5).
+    /// Everything but the application set is inherited from the suite evaluator, including
+    /// its shared [`RetryStats`] ledger.
     ///
     /// # Errors
     ///
     /// Propagates simulator failures.
     pub fn evaluate_on(&self, theta: &[f64], benchmark: Benchmark) -> Result<Vec<f64>> {
-        let single = SocEvaluator::new(
-            Platform::odroid_xu3(),
-            self.inner.architecture.clone(),
-            vec![benchmark.application()],
-            self.inner.objectives.clone(),
-        )
-        .with_run_seed(self.inner.run_seed)
-        .with_backend(self.inner.backend.clone())
-        .with_retry_policy(self.inner.retry);
+        let mut single = self.inner.clone();
+        single.applications = vec![benchmark.application()];
         single.evaluate(theta)
     }
 }
@@ -1150,7 +1028,12 @@ mod tests {
             eval.evaluate(&theta).unwrap()
         );
         // A different run seed changes the (noisy) measurement slightly.
-        let noisy = eval.clone().with_run_seed(99);
+        let noisy = SocEvaluator::builder()
+            .benchmark(Benchmark::Sha)
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .run_seed(99)
+            .build()
+            .unwrap();
         let a = eval.evaluate(&theta).unwrap();
         let b = noisy.evaluate(&theta).unwrap();
         assert_ne!(a, b);
@@ -1160,15 +1043,18 @@ mod tests {
     #[test]
     fn scenario_evaluator_applies_the_constraint_penalty_additively() {
         let scenario = soc_sim::scenario::by_name("odroid-pca-thermal").unwrap();
-        let constrained =
-            SocEvaluator::for_scenario(&scenario, Objective::TIME_ENERGY.to_vec()).unwrap();
+        let constrained = SocEvaluator::builder()
+            .scenario(&scenario)
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .build()
+            .unwrap();
         // The same platform/workload without constraints is the baseline.
-        let free = SocEvaluator::new(
-            scenario.platform(),
-            PolicyArchitecture::paper_default(),
-            vec![scenario.application().unwrap()],
-            Objective::TIME_ENERGY.to_vec(),
-        );
+        let free = SocEvaluator::builder()
+            .platform(scenario.platform())
+            .application(scenario.application().unwrap())
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .build()
+            .unwrap();
         // An all-out policy bias is the most likely to violate an 80 C limit; either way the
         // penalized values must be >= the raw ones with an identical offset on both axes.
         let theta = vec![0.5; constrained.parameter_dim()];
@@ -1186,7 +1072,10 @@ mod tests {
         let mut broken = scenario.clone();
         broken.workload.benchmarks[0] = "nope".into();
         assert!(matches!(
-            SocEvaluator::for_scenario(&broken, Objective::TIME_ENERGY.to_vec()),
+            SocEvaluator::builder()
+                .scenario(&broken)
+                .objectives(Objective::TIME_ENERGY.to_vec())
+                .build(),
             Err(ParmisError::Evaluation { .. })
         ));
     }
@@ -1206,8 +1095,11 @@ mod tests {
     #[test]
     fn global_evaluator_averages_across_benchmarks() {
         let objectives = Objective::TIME_ENERGY.to_vec();
-        let global =
-            GlobalEvaluator::for_benchmarks(&[Benchmark::Sha, Benchmark::Dijkstra], objectives);
+        let global = GlobalEvaluator::for_benchmarks(
+            &[Benchmark::Sha, Benchmark::Dijkstra],
+            objectives.clone(),
+        )
+        .unwrap();
         let dim = global.parameter_dim();
         let theta = vec![0.1; dim];
         let avg = global.evaluate(&theta).unwrap();
@@ -1221,6 +1113,19 @@ mod tests {
             );
         }
         assert_eq!(global.as_soc_evaluator().applications().len(), 2);
+
+        // Per-benchmark scoring is exactly the single-benchmark evaluator.
+        assert_eq!(
+            on_sha,
+            SocEvaluator::for_benchmark(Benchmark::Sha, objectives.clone())
+                .evaluate(&theta)
+                .unwrap()
+        );
+        // An empty suite is a configuration error, not a panic.
+        assert!(matches!(
+            GlobalEvaluator::for_benchmarks(&[], objectives),
+            Err(ParmisError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
@@ -1331,7 +1236,11 @@ mod tests {
     #[test]
     fn scenario_constrained_scratch_path_matches_the_summary_path() {
         let scenario = soc_sim::scenario::by_name("odroid-pca-thermal").unwrap();
-        let eval = SocEvaluator::for_scenario(&scenario, Objective::TIME_ENERGY.to_vec()).unwrap();
+        let eval = SocEvaluator::builder()
+            .scenario(&scenario)
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .build()
+            .unwrap();
         let theta = vec![0.5; eval.parameter_dim()];
         let mut buffers = eval.sim_buffers();
         let streamed = eval.evaluate_with(&theta, &mut buffers).unwrap();
@@ -1388,63 +1297,23 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_the_deprecated_constructors_bitwise() {
-        let theta_dim =
-            SocEvaluator::for_benchmark(Benchmark::Fft, Objective::TIME_ENERGY.to_vec())
-                .parameter_dim();
-        let theta = vec![0.25; theta_dim];
-
+    fn for_benchmark_matches_the_builder_bitwise() {
         let wrapped = SocEvaluator::for_benchmark(Benchmark::Fft, Objective::TIME_ENERGY.to_vec());
         let built = SocEvaluator::builder()
             .benchmark(Benchmark::Fft)
             .objectives(Objective::TIME_ENERGY.to_vec())
             .build()
             .unwrap();
+        let theta = vec![0.25; wrapped.parameter_dim()];
         assert_eq!(
             wrapped.evaluate(&theta).unwrap(),
-            built.evaluate(&theta).unwrap()
-        );
-
-        let scenario = soc_sim::scenario::by_name("odroid-pca-thermal").unwrap();
-        let wrapped =
-            SocEvaluator::for_scenario(&scenario, Objective::TIME_ENERGY.to_vec()).unwrap();
-        let built = SocEvaluator::builder()
-            .scenario(&scenario)
-            .objectives(Objective::TIME_ENERGY.to_vec())
-            .build()
-            .unwrap();
-        let theta = vec![0.5; wrapped.parameter_dim()];
-        assert_eq!(
-            wrapped.evaluate(&theta).unwrap(),
-            built.evaluate(&theta).unwrap()
-        );
-
-        // Explicit components + seed override match the method-chain spelling too.
-        let chained = SocEvaluator::new(
-            Platform::hexa_asym(),
-            PolicyArchitecture::paper_default(),
-            vec![Benchmark::Sha.application()],
-            Objective::TIME_PPW.to_vec(),
-        )
-        .with_run_seed(23);
-        let built = SocEvaluator::builder()
-            .platform(Platform::hexa_asym())
-            .architecture(PolicyArchitecture::paper_default())
-            .application(Benchmark::Sha.application())
-            .objectives(Objective::TIME_PPW.to_vec())
-            .run_seed(23)
-            .build()
-            .unwrap();
-        let theta = vec![-0.3; chained.parameter_dim()];
-        assert_eq!(
-            chained.evaluate(&theta).unwrap(),
             built.evaluate(&theta).unwrap()
         );
     }
 
     #[test]
     fn builder_resolves_backend_sources_with_explicit_instance_winning() {
-        use crate::backend::{CounterProfile, TraceReplay};
+        use crate::backend::TraceReplay;
 
         // Kind selection instantiates the stock backend.
         let by_kind = SocEvaluator::builder()
@@ -1483,16 +1352,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(explicit.backend().describe().kind, BackendKind::TraceReplay);
-
-        // GlobalEvaluator forwards backend swaps to per-benchmark scoring.
-        let global =
-            GlobalEvaluator::for_benchmarks(&[Benchmark::Sha], Objective::TIME_ENERGY.to_vec())
-                .with_backend(std::sync::Arc::new(CounterProfile::new()));
-        let theta = vec![0.1; global.parameter_dim()];
-        assert_eq!(
-            global.evaluate(&theta).unwrap(),
-            global.evaluate_on(&theta, Benchmark::Sha).unwrap()
-        );
     }
 
     #[test]

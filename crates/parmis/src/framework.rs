@@ -16,7 +16,6 @@ use moo::ParetoFront;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use soc_sim::scenario::BackendKind;
 
 /// Configuration of a PaRMIS run.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,13 +54,6 @@ pub struct ParmisConfig {
     /// pure, the Pareto front is **bit-identical for any worker count** — this knob trades
     /// wall-clock time only.
     pub num_workers: usize,
-    /// Which evaluation backend to instantiate when this configuration assembles its own
-    /// evaluator (e.g. `EvaluatorBuilder::backend_kind`). The selection uses the same
-    /// serializable [`BackendKind`] as [`soc_sim::scenario::Scenario::backend`], so a run
-    /// configuration round-trips through scenario JSON. The default,
-    /// [`BackendKind::AnalyticSim`], is the bit-identity reference; evaluators built
-    /// directly keep whatever backend they were given.
-    pub backend: BackendKind,
     /// Numeric precision tier of the model-side math: [`Precision::SeedExact`] (the
     /// default) reproduces the seed trajectory bit for bit, while [`Precision::Fast`]
     /// switches the RFF posterior-sample cosines inside the Pareto-front sampling step to
@@ -99,7 +91,6 @@ impl Default for ParmisConfig {
             seed: 0x9a92_0c1e,
             batch_size: 1,
             num_workers: 1,
-            backend: BackendKind::AnalyticSim,
             precision: Precision::SeedExact,
             max_fuel: 0,
             checkpoint_every: 0,
@@ -294,9 +285,12 @@ impl Parmis {
 
     /// Wires a cancellation token into the driver: the search checks it at every
     /// iteration boundary and suspends with [`StopReason::Cancelled`] once it trips, and
-    /// beats its heartbeat as rounds complete. Evaluators carry their own token wiring
-    /// (e.g. [`crate::evaluation::EvaluatorBuilder::cancel_token`]) for the finer-grained
-    /// mid-round checks. A segment wall-time budget is a deadline scope:
+    /// beats its heartbeat as rounds complete. The token is not forwarded to the
+    /// evaluator (not even by [`run_parallel`](Self::run_parallel)): mid-round checks
+    /// happen only where the caller also hands it to
+    /// [`crate::evaluation::EvaluatorBuilder::cancel_token`] or
+    /// [`crate::evaluation::ParallelEvaluator::with_cancel_token`]. A segment wall-time
+    /// budget is a deadline scope:
     /// `with_cancel_token(CancelSource::with_deadline(budget).token())`.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;

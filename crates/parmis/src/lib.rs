@@ -23,12 +23,12 @@
 //! # Batched, parallel evaluation
 //!
 //! Step 3/4 can select the **top-q** acquisition candidates per iteration instead of the
-//! argmax ([`ParmisConfig::batch_size`]) and evaluate them as one batch. Batches flow through
-//! [`evaluation::PolicyEvaluator::evaluate_batch`]; wrap any evaluator in a
+//! argmax ([`framework::ParmisConfig::batch_size`]) and evaluate them as one batch. Batches
+//! flow through [`evaluation::PolicyEvaluator::evaluate_batch`]; wrap any evaluator in a
 //! [`evaluation::ParallelEvaluator`] — or call [`framework::Parmis::run_parallel`] — to shard
-//! the batch across a scoped thread pool ([`ParmisConfig::num_workers`]). All random streams
-//! derive from `(seed, iteration, slot)` and batch results merge in slot order, so the Pareto
-//! front is bit-identical for any worker count.
+//! the batch across a scoped thread pool ([`framework::ParmisConfig::num_workers`]). All
+//! random streams derive from `(seed, iteration, slot)` and batch results merge in slot
+//! order, so the Pareto front is bit-identical for any worker count.
 //!
 //! # Evaluation backends
 //!
@@ -38,11 +38,13 @@
 //! fixture-recording mode), recorded-trace replay ([`backend::TraceReplay`]), a
 //! perf-counter profiling fold ([`backend::CounterProfile`]) and a deterministic
 //! fault-injection decorator ([`backend::FaultInject`]). Evaluators are assembled
-//! with [`evaluation::SocEvaluator::builder`].
+//! only by [`evaluation::SocEvaluator::builder`]; `SocEvaluator::for_benchmark` is its
+//! one-line shorthand for a single benchmark.
 //!
 //! # Robustness: checkpoint/resume, trace hashes, fault tolerance
 //!
-//! Long-budget searches are **resumable and auditable**: [`ParmisConfig::max_fuel`] makes
+//! Long-budget searches are **resumable and auditable**:
+//! [`framework::ParmisConfig::max_fuel`] makes
 //! [`framework::Parmis::run_resumable`] suspend cleanly at an iteration boundary with a
 //! serializable [`checkpoint::SearchState`] that [`framework::Parmis::resume`] continues
 //! **bit-identically** — verified by a per-iteration trace-hash chain
@@ -60,8 +62,11 @@
 //!
 //! Every execution layer is **cooperatively cancellable** through the [`cancel`] module's
 //! hierarchical [`cancel::CancelSource`]/[`cancel::CancelToken`] pair: searches wired with
-//! [`framework::Parmis::with_cancel_token`] suspend at the next deterministic boundary
-//! with a reason-carrying [`framework::StopReason`]. Deadline scopes are the one way to
+//! [`framework::Parmis::with_cancel_token`] suspend at the next iteration round with a
+//! reason-carrying [`framework::StopReason`]. Finer, mid-round checks happen only in
+//! evaluators given the token as well
+//! ([`evaluation::EvaluatorBuilder::cancel_token`],
+//! [`evaluation::ParallelEvaluator::with_cancel_token`]). Deadline scopes are the one way to
 //! bound wall time: a search runs under [`cancel::CancelSource::with_deadline`], and the
 //! supervisor nests the same scopes for its fleet and per-job budgets, so expiry becomes
 //! a suspend-at-checkpoint rather than a kill. A cancelled ancestor's reason is latched

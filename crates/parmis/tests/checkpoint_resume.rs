@@ -259,7 +259,11 @@ proptest! {
 #[test]
 fn registry_scenario_resumes_bit_identically() {
     let scenario = soc_sim::scenario::registry().into_iter().next().unwrap();
-    let evaluator = SocEvaluator::for_scenario(&scenario, Objective::TIME_ENERGY.to_vec()).unwrap();
+    let evaluator = SocEvaluator::builder()
+        .scenario(&scenario)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+        .unwrap();
     let config = tiny_config(91, 9);
     let uninterrupted = Parmis::new(config.clone())
         .run_resumable(&evaluator)
@@ -284,20 +288,22 @@ fn resume_on_trace_replay_fixtures_is_bit_identical() {
     // replayed searches will request.
     let (recording, _) = AnalyticSim::recording();
     let recorder = Arc::new(recording);
-    let live = SocEvaluator::for_benchmark(
-        soc_sim::apps::Benchmark::Qsort,
-        Objective::TIME_ENERGY.to_vec(),
-    )
-    .with_backend(recorder.clone());
+    let live = SocEvaluator::builder()
+        .benchmark(soc_sim::apps::Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .backend(recorder.clone())
+        .build()
+        .unwrap();
     let config = tiny_config(23, 9);
     Parmis::new(config.clone()).run(&live).unwrap();
 
     let store = recorder.snapshot_traces().unwrap();
-    let replayed = SocEvaluator::for_benchmark(
-        soc_sim::apps::Benchmark::Qsort,
-        Objective::TIME_ENERGY.to_vec(),
-    )
-    .with_backend(Arc::new(TraceReplay::new(store)));
+    let replayed = SocEvaluator::builder()
+        .benchmark(soc_sim::apps::Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .backend(Arc::new(TraceReplay::new(store)))
+        .build()
+        .unwrap();
 
     let uninterrupted = Parmis::new(config.clone())
         .run_resumable(&replayed)

@@ -284,12 +284,12 @@ fn fault_injected_segments_stay_bit_identical_under_retries() {
                 .fault_on(1, FaultKind::Error)
                 .fault_on(2, FaultKind::LatencySpike { micros: 200 })
                 .fault_on(3, FaultKind::Panic);
-            let evaluator = SocEvaluator::for_benchmark(
-                soc_sim::apps::Benchmark::Qsort,
-                vec![Objective::ExecutionTime, Objective::Energy],
-            )
-            .with_backend(Arc::new(backend))
-            .with_retry_policy(RetryPolicy::retries(1).backoff_base_micros(50));
+            let evaluator = SocEvaluator::builder()
+                .benchmark(soc_sim::apps::Benchmark::Qsort)
+                .objectives(vec![Objective::ExecutionTime, Objective::Energy])
+                .backend(Arc::new(backend))
+                .retry_policy(RetryPolicy::retries(1).backoff_base_micros(50))
+                .build()?;
             stats_handles
                 .lock()
                 .expect("handles")
@@ -646,11 +646,11 @@ fn stalled_worker_is_detected_suspended_and_completes_on_restart() {
     let report = supervisor
         .run(std::slice::from_ref(&spec), |_spec| {
             Ok(Box::new(
-                SocEvaluator::for_benchmark(
-                    soc_sim::apps::Benchmark::Qsort,
-                    vec![Objective::ExecutionTime, Objective::Energy],
-                )
-                .with_backend(hung_backend.clone()),
+                SocEvaluator::builder()
+                    .benchmark(soc_sim::apps::Benchmark::Qsort)
+                    .objectives(vec![Objective::ExecutionTime, Objective::Energy])
+                    .backend(hung_backend.clone())
+                    .build()?,
             ))
         })
         .expect("run");

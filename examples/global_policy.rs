@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // One search over the whole application set.
-    let global = GlobalEvaluator::for_benchmarks(benchmarks, objectives.clone());
+    let global = GlobalEvaluator::for_benchmarks(benchmarks, objectives.clone())?;
     let global_outcome = Parmis::new(example_parmis_config(sized(26, 6), 31)).run(&global)?;
     println!(
         "global search: {} evaluations, {} Pareto policies (dimension d = {})",

@@ -106,7 +106,8 @@ fn baselines_and_parmis_are_comparable_under_a_common_reference() {
 fn global_policies_transfer_to_individual_applications() {
     let benchmarks = [Benchmark::Sha, Benchmark::Dijkstra];
     let objectives = Objective::TIME_ENERGY.to_vec();
-    let global = GlobalEvaluator::for_benchmarks(&benchmarks, objectives);
+    let global =
+        GlobalEvaluator::for_benchmarks(&benchmarks, objectives).expect("a non-empty suite builds");
     let outcome = Parmis::new(example_parmis_config(14, 13))
         .run(&global)
         .expect("global PaRMIS run succeeds");
