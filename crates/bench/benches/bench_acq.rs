@@ -4,6 +4,10 @@
 //!
 //! Criterion groups:
 //!
+//! * `rff_eval_batch40_d501` — the search's real front-sampling shape: one 150-feature
+//!   posterior sample over θ ∈ ℝ⁵⁰¹ answering a 40-point NSGA-II population:
+//!   `eval_batch_into` vs. the per-point `eval` loop. At this size the 501-term dot
+//!   products are the cost.
 //! * `front_sample_200f_40x25` — one end-to-end `ParetoFrontSampler::sample` (draw one RFF
 //!   function per objective, NSGA-II solve, front reduction): warm-scratch flat engine vs.
 //!   the seed per-point loop on the shared probe problem.
@@ -12,9 +16,15 @@
 //! * `nsga2_machinery_40x30` — the evolutionary machinery isolated on a near-free synthetic
 //!   objective: flat engine vs. the seed `Vec<Vec<f64>>` loop.
 //!
+//! Every row except `rff_eval_batch40_d501` runs on the 3-dimensional
+//! [`probe_models`] fixture. Those rows are diagnostics: at d = 3 the cosine dominates,
+//! while the search spends its time on the d = 501 dot products, so they cannot show the
+//! cost of the RFF layer in a real run.
+//!
 //! The binary also asserts, via a counting global allocator, that a warm engine's
 //! allocation count does **not** grow with the generation count — the "zero per-generation
-//! heap allocation" contract of the flat rewrite.
+//! heap allocation" contract of the flat rewrite — and that a warm d = 501 batched
+//! evaluation allocates nothing on either precision tier.
 //!
 //! `cargo bench -p bench --bench bench_acq` for the timed report; `-- --test` (CI smoke
 //! mode) runs every routine once, untimed, and skips the JSON emission.
@@ -138,6 +148,65 @@ fn assert_allocations_stay_flat() {
         "a warm engine solve must be entirely allocation-free, saw {allocs_30}"
     );
     println!("allocation flatness: {allocs_3}@3gen == {allocs_30}@30gen == 0 ok");
+}
+
+/// One posterior sample at the search's real size: a GP over θ ∈ ℝ⁵⁰¹ fitted on 40
+/// deterministic points of the `[-3, 3]⁵⁰¹` policy box, drawn with 150 random features on
+/// the given tier.
+fn production_sample(precision: Precision) -> gp::PosteriorSample {
+    let dim = 501;
+    let xs: Vec<Vec<f64>> = (0..40)
+        .map(|i| {
+            (0..dim)
+                .map(|d| ((i * 31 + d * 17) % 61) as f64 / 10.0 - 3.0)
+                .collect()
+        })
+        .collect();
+    let ys: Vec<f64> = xs
+        .iter()
+        .map(|x| x[..10].iter().sum::<f64>().sin())
+        .collect();
+    // The framework's lengthscale grid centres on the typical distance in the box.
+    let lengthscale = 3.0 * (2.0 * dim as f64 / 3.0).sqrt();
+    let model = gp::GaussianProcess::fit(xs, ys, gp::kernel::Kernel::rbf(1.0, lengthscale), 1e-4)
+        .expect("valid fit");
+    RffSampler::new(&model, 150, 7)
+        .expect("valid sampler")
+        .with_precision(precision)
+        .sample(1)
+        .expect("valid draw")
+}
+
+fn bench_rff_eval_production(c: &mut Criterion, rows: &mut Vec<AcqBenchRow>) {
+    let (count, dim) = (40, 501);
+    let points: Vec<f64> = (0..count * dim)
+        .map(|k| ((k * 13) % 59) as f64 / 9.75 - 3.0)
+        .collect();
+    let mut out = vec![0.0; count];
+    let f = production_sample(Precision::SeedExact);
+    let fast_f = production_sample(Precision::Fast);
+    for sample in [&f, &fast_f] {
+        sample.eval_batch_into(&points, &mut out);
+        let allocs = allocations_during(|| sample.eval_batch_into(&points, &mut out));
+        assert_eq!(
+            allocs,
+            0,
+            "a warm d = 501 batched evaluation must be allocation-free on {:?}",
+            sample.precision()
+        );
+    }
+
+    let seed = c.bench_timed("rff_eval_batch40_d501/per_point", |b| {
+        b.iter(|| {
+            for (p, o) in out.iter_mut().enumerate() {
+                *o = f.eval(&points[p * dim..(p + 1) * dim]);
+            }
+        })
+    });
+    let flat = c.bench_timed("rff_eval_batch40_d501/batched", |b| {
+        b.iter(|| f.eval_batch_into(&points, &mut out))
+    });
+    rows.push(row("rff_eval_batch40_d501", seed, flat));
 }
 
 fn bench_front_sample(c: &mut Criterion, rows: &mut Vec<AcqBenchRow>) {
@@ -313,6 +382,7 @@ fn main() {
     assert_allocations_stay_flat();
 
     let mut rows = Vec::new();
+    bench_rff_eval_production(&mut criterion, &mut rows);
     bench_front_sample(&mut criterion, &mut rows);
     bench_rff_eval_batch(&mut criterion, &mut rows);
     bench_fast_tier(&mut criterion, &mut rows);

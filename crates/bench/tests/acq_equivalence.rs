@@ -97,27 +97,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Batched RFF evaluation answers exactly what the per-point path answers, for both
-    /// kernel families and any draw seed.
+    /// kernel families, any draw seed and any query count — full eight-point blocks, a
+    /// shorter tail and the empty block — at a drawn small dimension and at the search's
+    /// real θ dimension of 501.
     #[test]
     fn eval_batch_into_is_bit_identical_across_kernels(
         family in 0u8..2,
-        dim in 1usize..4,
+        small_dim in 1usize..4,
+        count in 0usize..42,
         sampler_seed in 0u64..u64::MAX,
         draw_seed in 0u64..u64::MAX,
     ) {
-        let kernel = kernel_for(family, dim);
-        let models = toy_models(dim, &kernel);
-        for model in &models {
-            let sampler = RffSampler::new(model, 90, sampler_seed).unwrap();
-            let f = sampler.sample(draw_seed).unwrap();
-            let queries: Vec<Vec<f64>> = (0..23)
-                .map(|i| (0..dim).map(|d| -2.5 + 0.23 * i as f64 + 0.4 * d as f64).collect())
-                .collect();
-            let flat: Vec<f64> = queries.iter().flatten().copied().collect();
-            let mut batched = vec![0.0; queries.len()];
-            f.eval_batch_into(&flat, &mut batched);
-            for (q, b) in queries.iter().zip(&batched) {
-                prop_assert_eq!(f.eval(q), *b);
+        for dim in [small_dim, 501] {
+            let kernel = kernel_for(family, dim);
+            let models = toy_models(dim, &kernel);
+            for model in &models {
+                let sampler = RffSampler::new(model, 90, sampler_seed).unwrap();
+                let f = sampler.sample(draw_seed).unwrap();
+                let queries: Vec<Vec<f64>> = (0..count)
+                    .map(|i| (0..dim).map(|d| -2.5 + 0.23 * i as f64 + 0.4 * d as f64).collect())
+                    .collect();
+                let flat: Vec<f64> = queries.iter().flatten().copied().collect();
+                let mut batched = vec![0.0; queries.len()];
+                f.eval_batch_into(&flat, &mut batched);
+                for (q, b) in queries.iter().zip(&batched) {
+                    prop_assert_eq!(f.eval(q), *b);
+                }
             }
         }
     }

@@ -17,15 +17,22 @@
 //! NSGA-II asks a sampled function for a whole population at a time, so
 //! [`PosteriorSample::eval_batch_into`] answers a row-major block of query points in one
 //! pass: conceptually one `frequencies × Xᵀ` matrix product followed by a `cos`/dot sweep,
-//! implemented *fused* (feature-major loop, population-minor) so the frequency row stays in
-//! L1 across the population and no `M × count` intermediate is materialized. Per point the
-//! floating-point operation order is exactly that of [`PosteriorSample::eval`], so batched
-//! answers are **bit-identical** to the per-point path; the only costs removed are the
-//! per-point re-streaming of the frequency matrix and the per-call bookkeeping. Sampler and
-//! sample share the frequency matrix and phases through `Arc`, and
-//! [`RffSampler::sample_with`] reuses a caller-provided [`WeightScratch`] across draws, so
-//! a warm acquisition loop draws and evaluates sample functions without reallocating its
-//! feature machinery. Regenerate the measured per-point-vs-batched ratios with
+//! implemented *fused* so no `M × count` intermediate is materialized. At the search's
+//! real size (θ ∈ ℝ⁵⁰¹, 150 features) the cost is the 501-term dot products, and one dot
+//! product is a chain of dependent additions bound by add latency. The kernel therefore
+//! walks the population in blocks of eight points (the private `LANES`) and, per
+//! frequency row, runs the eight points' chains interleaved: eight independent
+//! accumulators, each still summed left to right with a separate multiply and add. Eight
+//! 501-wide points take 32 KiB, so a block stays in L1 while every frequency row streams
+//! past it. Per point the floating-point operation order is exactly that of
+//! [`PosteriorSample::eval`] (features in order, each dot product in order, starting from
+//! `-0.0` like `Iterator::sum`), so batched answers are **bit-identical** to the
+//! per-point path on both [`Precision`] tiers. The sampler's training feature matrix Φ is
+//! built through the same block kernel. Sampler and sample share the frequency matrix and
+//! phases through `Arc`, and [`RffSampler::sample_with`] reuses a caller-provided
+//! [`WeightScratch`] across draws, so a warm acquisition loop draws and evaluates sample
+//! functions without reallocating its feature machinery. Regenerate the measured
+//! per-point-vs-batched ratios with
 //! `PARMIS_RESULTS_DIR=results cargo bench -p bench --bench bench_acq` (writes
 //! `BENCH_acq.json`).
 
@@ -147,12 +154,7 @@ impl RffSampler {
             .collect();
         let feature_scale = (2.0 * kernel.signal_variance() / m as f64).sqrt();
 
-        // Feature matrix over the training inputs.
-        let xs = gp.training_inputs();
-        let n = xs.len();
-        let phi = Matrix::from_fn(n, m, |i, j| {
-            feature(&frequencies, &phases, feature_scale, j, &xs[i])
-        });
+        let phi = feature_matrix(&frequencies, &phases, feature_scale, gp.training_inputs());
 
         // Weight posterior: A = ΦᵀΦ + σ_n² I, mean = A⁻¹ Φᵀ y_c, cov = σ_n² A⁻¹.
         let noise = gp.noise_variance().max(1e-8);
@@ -306,59 +308,41 @@ impl PosteriorSample {
     /// Evaluates the sampled function at a whole row-major block of query points at once,
     /// writing one value per point into `out` (`points.len() == out.len() * dim`).
     ///
-    /// One fused `frequencies × Xᵀ` product + `cos`/dot sweep: the feature-major loop keeps
-    /// each frequency row hot across the population instead of re-streaming the whole
-    /// matrix per point. Per point the operation order matches [`eval`](Self::eval)
-    /// exactly, so results are bit-identical; the pass allocates nothing.
+    /// One fused `frequencies × Xᵀ` product + `cos`/dot sweep, eight points at a time:
+    /// for each block of points every frequency row is dotted with all of the block's
+    /// points in interleaved chains, then folded through the cosine into each point's
+    /// accumulator. Per point the operation order matches [`eval`](Self::eval) exactly,
+    /// so results are bit-identical on both tiers; the pass allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `points.len() != out.len() * dim`.
     pub fn eval_batch_into(&self, points: &[f64], out: &mut [f64]) {
-        let count = out.len();
+        let dim = self.dim;
         assert_eq!(
             points.len(),
-            count * self.dim,
+            out.len() * dim,
             "query block dimension mismatch"
         );
         crate::stats::record_rff_feature_matrix_product();
         out.fill(0.0);
-        let m = self.weights.len();
-        match self.precision {
-            Precision::SeedExact => {
-                for j in 0..m {
-                    let row = self.frequencies.row(j);
-                    let phase = self.phases[j];
-                    let weight = self.weights[j];
-                    for (p, out_p) in out.iter_mut().enumerate() {
-                        let x = &points[p * self.dim..(p + 1) * self.dim];
-                        *out_p +=
-                            (self.feature_scale * (vector::dot(row, x) + phase).cos()) * weight;
-                    }
-                }
-            }
-            Precision::Fast => {
-                // The fast tier batches the cosine: per feature, fill a fixed stack
-                // chunk with `w·x + b` over a stretch of points and fold the weighted
-                // fast_cos straight into the accumulator (fastmath::fused_cos_axpy).
-                // No heap use — the acquisition engine's zero-allocations-per-generation
-                // contract holds on this tier too.
-                const CHUNK: usize = 16;
-                let mut args = [0.0f64; CHUNK];
-                for j in 0..m {
-                    let row = self.frequencies.row(j);
-                    let phase = self.phases[j];
-                    let coeff = self.feature_scale * self.weights[j];
-                    let mut base = 0;
-                    while base < count {
-                        let n = CHUNK.min(count - base);
-                        for (i, arg) in args[..n].iter_mut().enumerate() {
-                            let p = base + i;
-                            let x = &points[p * self.dim..(p + 1) * self.dim];
-                            *arg = vector::dot(row, x) + phase;
+        let mut dots = [0.0f64; LANES];
+        for (c, out) in out.chunks_mut(LANES).enumerate() {
+            let block = &points[c * LANES * dim..][..out.len() * dim];
+            let dots = &mut dots[..out.len()];
+            for (j, (&phase, &weight)) in self.phases.iter().zip(&self.weights).enumerate() {
+                lane_dots(self.frequencies.row(j), block, dim, dots);
+                match self.precision {
+                    Precision::SeedExact => {
+                        for (o, &dot) in out.iter_mut().zip(dots.iter()) {
+                            *o += (self.feature_scale * (dot + phase).cos()) * weight;
                         }
-                        fastmath::fused_cos_axpy(&mut args[..n], coeff, &mut out[base..base + n]);
-                        base += n;
+                    }
+                    Precision::Fast => {
+                        for dot in dots.iter_mut() {
+                            *dot += phase;
+                        }
+                        fastmath::fused_cos_axpy(dots, self.feature_scale * weight, out);
                     }
                 }
             }
@@ -378,6 +362,58 @@ impl PosteriorSample {
 fn feature(frequencies: &Matrix, phases: &[f64], scale: f64, j: usize, x: &[f64]) -> f64 {
     let row = frequencies.row(j);
     scale * (vector::dot(row, x) + phases[j]).cos()
+}
+
+/// Query points per block of [`lane_dots`]: eight independent accumulation chains cover
+/// the floating-point add latency, and eight 501-wide points (32 KiB) stay in L1 while
+/// the frequency rows stream past them.
+const LANES: usize = 8;
+
+/// Sets `dots[p] = vector::dot(row, x_p)` for the `dots.len()` row-major points `x_p` of
+/// `block`, bit for bit.
+///
+/// A full block of [`LANES`] points runs its chains interleaved: each accumulator starts
+/// at `-0.0` like `Iterator::sum` and adds `row[i] * x_p[i]` for `i = 0..dim` in order,
+/// with a separate multiply and add, so only the scheduling differs from `vector::dot`.
+/// A shorter tail falls back to `vector::dot` per point.
+fn lane_dots(row: &[f64], block: &[f64], dim: usize, dots: &mut [f64]) {
+    debug_assert!(row.len() == dim && block.len() == dots.len() * dim);
+    if dots.len() == LANES {
+        let x: [&[f64]; LANES] = std::array::from_fn(|p| &block[p * dim..][..dim]);
+        let mut acc = [-0.0f64; LANES];
+        for (i, &r) in row.iter().enumerate() {
+            for (a, x_p) in acc.iter_mut().zip(&x) {
+                *a += r * x_p[i];
+            }
+        }
+        dots.copy_from_slice(&acc);
+    } else {
+        for (p, dot) in dots.iter_mut().enumerate() {
+            *dot = vector::dot(row, &block[p * dim..][..dim]);
+        }
+    }
+}
+
+/// The `n × m` training feature matrix, `Φ[i][j] = feature(frequencies, phases, scale,
+/// j, xs[i])` bit for bit, computed [`LANES`] training points at a time (each block is
+/// copied into one reused row-major buffer for [`lane_dots`]).
+fn feature_matrix(frequencies: &Matrix, phases: &[f64], scale: f64, xs: &[Vec<f64>]) -> Matrix {
+    let dim = frequencies.cols();
+    let mut phi = Matrix::zeros(xs.len(), phases.len());
+    let mut block = Vec::with_capacity(LANES * dim);
+    let mut dots = [0.0f64; LANES];
+    for (c, chunk) in xs.chunks(LANES).enumerate() {
+        block.clear();
+        block.extend(chunk.iter().flatten());
+        let dots = &mut dots[..chunk.len()];
+        for (j, &phase) in phases.iter().enumerate() {
+            lane_dots(frequencies.row(j), &block, dim, dots);
+            for (p, &dot) in dots.iter().enumerate() {
+                phi[(c * LANES + p, j)] = scale * (dot + phase).cos();
+            }
+        }
+    }
+    phi
 }
 
 #[cfg(test)]
@@ -498,29 +534,7 @@ mod tests {
 
     #[test]
     fn eval_batch_into_is_bit_identical_to_per_point_eval() {
-        let xs = vec![
-            vec![0.0, 0.0],
-            vec![1.0, 0.3],
-            vec![0.2, 1.0],
-            vec![1.0, 1.0],
-            vec![0.5, 0.5],
-            vec![-0.4, 0.9],
-        ];
-        let ys = vec![0.0, 1.3, 1.2, 2.0, 1.0, 0.5];
-        for kernel in [Kernel::rbf(1.0, 0.8), Kernel::matern52(1.2, 0.9)] {
-            let gp = GaussianProcess::fit(xs.clone(), ys.clone(), kernel, 1e-4).unwrap();
-            let sampler = RffSampler::new(&gp, 120, 31).unwrap();
-            let f = sampler.sample(4).unwrap();
-            let queries: Vec<Vec<f64>> = (0..17)
-                .map(|i| vec![-1.0 + 0.17 * i as f64, 2.0 - 0.21 * i as f64])
-                .collect();
-            let flat: Vec<f64> = queries.iter().flatten().copied().collect();
-            let mut batched = vec![0.0; queries.len()];
-            f.eval_batch_into(&flat, &mut batched);
-            for (q, b) in queries.iter().zip(&batched) {
-                assert_eq!(f.eval(q), *b, "batched eval diverged at {q:?}");
-            }
-        }
+        assert_batch_matches_eval(Precision::SeedExact);
     }
 
     #[test]
@@ -560,32 +574,7 @@ mod tests {
 
     #[test]
     fn fast_tier_eval_batch_into_is_bit_identical_to_per_point_eval() {
-        let xs = vec![
-            vec![0.0, 0.0],
-            vec![1.0, 0.3],
-            vec![0.2, 1.0],
-            vec![1.0, 1.0],
-            vec![0.5, 0.5],
-            vec![-0.4, 0.9],
-        ];
-        let ys = vec![0.0, 1.3, 1.2, 2.0, 1.0, 0.5];
-        for kernel in [Kernel::rbf(1.0, 0.8), Kernel::matern52(1.2, 0.9)] {
-            let gp = GaussianProcess::fit(xs.clone(), ys.clone(), kernel, 1e-4).unwrap();
-            let sampler = RffSampler::new(&gp, 120, 31)
-                .unwrap()
-                .with_precision(Precision::Fast);
-            let f = sampler.sample(4).unwrap();
-            assert_eq!(f.precision(), Precision::Fast);
-            let queries: Vec<Vec<f64>> = (0..17)
-                .map(|i| vec![-1.0 + 0.17 * i as f64, 2.0 - 0.21 * i as f64])
-                .collect();
-            let flat: Vec<f64> = queries.iter().flatten().copied().collect();
-            let mut batched = vec![0.0; queries.len()];
-            f.eval_batch_into(&flat, &mut batched);
-            for (q, b) in queries.iter().zip(&batched) {
-                assert_eq!(f.eval(q), *b, "fast batched eval diverged at {q:?}");
-            }
-        }
+        assert_batch_matches_eval(Precision::Fast);
     }
 
     #[test]
@@ -619,6 +608,123 @@ mod tests {
         let b = sampler.sample(99).unwrap();
         for q in [0.0, 1.0, 2.0, 17.5] {
             assert_eq!(a.eval(&[q]), b.eval(&[q]));
+        }
+    }
+
+    /// The point counts the lane-kernel tests sweep: the empty block, tails shorter than
+    /// a block, exactly one block, one block plus a tail, and the production population
+    /// of 40 with and without a tail.
+    const LANE_COUNTS: [usize; 7] = [0, 1, 7, 8, 9, 40, 41];
+
+    /// `count` row-major `dim`-dimensional query points. Point 0 is all `0.0` and point 1
+    /// all `-0.0` (when the block has them); the rest mix signs and magnitudes.
+    fn lane_queries(count: usize, dim: usize) -> Vec<f64> {
+        (0..count * dim)
+            .map(|k| match k / dim {
+                0 => 0.0,
+                1 => -0.0,
+                p => ((k * 37 + p * 11) % 23) as f64 * 0.19 - 2.1,
+            })
+            .collect()
+    }
+
+    /// A fitted GP over `dim`-dimensional inputs for either kernel family.
+    fn gp_of_dim(dim: usize, matern: bool) -> GaussianProcess {
+        let xs: Vec<Vec<f64>> = (0..6)
+            .map(|i| {
+                (0..dim)
+                    .map(|d| ((i * 7 + d * 3) % 11) as f64 * 0.2 - 1.0)
+                    .collect()
+            })
+            .collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum::<f64>().sin()).collect();
+        let lengthscale = 1.0 + 0.5 * dim as f64;
+        let kernel = if matern {
+            Kernel::matern52(1.0, lengthscale)
+        } else {
+            Kernel::rbf(1.0, lengthscale)
+        };
+        GaussianProcess::fit(xs, ys, kernel, 1e-4).unwrap()
+    }
+
+    #[test]
+    fn lane_dots_is_bit_identical_to_vector_dot() {
+        for dim in [1, 3, 501] {
+            // Mixed-sign rows, so products of a signed-zero point carry both zero signs:
+            // a positive entry times `-0.0` is `-0.0`, which only a `-0.0` start keeps.
+            let rows: Vec<Vec<f64>> = [1.0, -1.0, 0.37]
+                .iter()
+                .map(|&s| (0..dim).map(|i| s * (1.0 + i as f64 * 0.013)).collect())
+                .collect();
+            for count in LANE_COUNTS {
+                let block = lane_queries(count, dim);
+                for row in &rows {
+                    let mut dots = vec![f64::NAN; count];
+                    lane_dots(row, &block, dim, &mut dots);
+                    for (p, dot) in dots.iter().enumerate() {
+                        let x = &block[p * dim..(p + 1) * dim];
+                        assert_eq!(
+                            dot.to_bits(),
+                            vector::dot(row, x).to_bits(),
+                            "dim {dim}, {count} points, point {p}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `eval_batch_into` on `precision` answers exactly what per-point `eval` answers,
+    /// for both kernel families, at dimensions 1, 3 and the search's 501, over full
+    /// eight-point blocks, shorter tails and the empty block.
+    fn assert_batch_matches_eval(precision: Precision) {
+        for dim in [1, 3, 501] {
+            for matern in [false, true] {
+                let sampler = RffSampler::new(&gp_of_dim(dim, matern), 40, 9)
+                    .unwrap()
+                    .with_precision(precision);
+                let f = sampler.sample(2).unwrap();
+                assert_eq!(f.precision(), precision);
+                for count in LANE_COUNTS {
+                    let points = lane_queries(count, dim);
+                    let mut out = vec![f64::NAN; count];
+                    f.eval_batch_into(&points, &mut out);
+                    for (p, value) in out.iter().enumerate() {
+                        let x = &points[p * dim..(p + 1) * dim];
+                        assert_eq!(
+                            value.to_bits(),
+                            f.eval(x).to_bits(),
+                            "{precision:?}, matern {matern}, dim {dim}, {count} points, point {p}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn feature_matrix_is_bit_identical_to_entrywise_features() {
+        let (m, dim) = (13, 501);
+        let frequencies = Matrix::from_fn(m, dim, |j, d| ((j * 5 + d) % 17) as f64 * 0.03 - 0.25);
+        let phases: Vec<f64> = (0..m).map(|j| j as f64 * 0.45).collect();
+        let scale = 0.3;
+        for n in [1, 7, 8, 9, 40] {
+            let flat = lane_queries(n, dim);
+            let xs: Vec<Vec<f64>> = flat.chunks(dim).map(<[f64]>::to_vec).collect();
+            let phi = feature_matrix(&frequencies, &phases, scale, &xs);
+            let expected = Matrix::from_fn(n, m, |i, j| {
+                feature(&frequencies, &phases, scale, j, &xs[i])
+            });
+            assert_eq!(phi.shape(), expected.shape());
+            for (k, (a, b)) in phi.as_slice().iter().zip(expected.as_slice()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "n {n}: entry ({}, {})",
+                    k / m,
+                    k % m
+                );
+            }
         }
     }
 }
